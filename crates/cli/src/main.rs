@@ -10,7 +10,7 @@
 //!               [--fanout-sources S] [--end-spread E] [--begin-jitter J]
 //!               [--output FILE]
 //! tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]
-//!            [--no-cache] [--envelope-factor K] [--no-envelopes]
+//!            [--envelope-factor K] [--no-envelopes]
 //!            [--envelope-density-cutoff R] [--no-profile-sharing]
 //!            [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]
 //! tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]
@@ -82,7 +82,7 @@ fn usage() -> String {
        tspg workload <edge-list> --queries N --theta T [--seed N]\n\
                   [--fanout-sources S] [--end-spread E] [--begin-jitter J] [--output FILE]\n\
        tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]\n\
-                  [--no-cache] [--envelope-factor K] [--no-envelopes]\n\
+                  [--envelope-factor K] [--no-envelopes]\n\
                   [--envelope-density-cutoff R] [--no-profile-sharing]\n\
                   [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]\n\
        tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]\n\
@@ -98,8 +98,9 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
             let value = match name {
-                "dot" | "quiet" | "no-cache" | "no-envelopes" | "no-profile-sharing" | "stats"
-                | "shutdown" => "true".to_string(),
+                "dot" | "quiet" | "no-envelopes" | "no-profile-sharing" | "stats" | "shutdown" => {
+                    "true".to_string()
+                }
                 _ => iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?,
             };
             flags.insert(name.to_string(), value);
@@ -316,12 +317,11 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         return Err("--threads must be at least 1".to_string());
     }
     let quiet = flags.contains_key("quiet");
-    // `--cache-size 0` and `--no-cache` both disable the result cache.
+    // `--cache-size 0` disables the result cache.
     let cache_entries: Option<usize> = match flags.get("cache-size") {
         Some(v) => Some(parse_number(v, "cache size")?),
         None => None,
     };
-    let no_cache = flags.contains_key("no-cache") || cache_entries == Some(0);
     // Envelope planning: `--no-envelopes` (or a factor of 0) falls back to
     // containment-only sharing; `--envelope-factor K` tunes the cost guard
     // (an envelope may span at most K× its widest member window).
@@ -384,10 +384,10 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
     }
 
     let mut engine = QueryEngine::new(graph).with_planner(planner);
-    engine = match (no_cache, cache_entries) {
-        (true, _) => engine.without_cache(),
-        (false, Some(entries)) => engine.with_cache(CacheConfig::with_max_entries(entries)),
-        (false, None) => engine,
+    engine = match cache_entries {
+        Some(0) => engine.without_cache(),
+        Some(entries) => engine.with_cache(CacheConfig::with_max_entries(entries)),
+        None => engine,
     };
     engine = match profile_cache_entries {
         Some(0) => engine.without_profile_cache(),
@@ -836,14 +836,9 @@ mod tests {
         assert!(plan.contains("pipeline runs 2 for 5 queries"), "{plan}");
         assert!(plan.contains("cache_hits=0"), "{plan}");
 
-        // --no-cache and --cache-size 0 drop the cache columns.
-        for disable in [
-            &["batch", g, q, "--quiet", "--no-cache"][..],
-            &["batch", g, q, "--quiet", "--cache-size", "0"][..],
-        ] {
-            let out = dispatch(&args(disable)).unwrap();
-            assert!(out.lines().last().unwrap().contains("cache=off"), "{out}");
-        }
+        // --cache-size 0 drops the cache columns.
+        let out = dispatch(&args(&["batch", g, q, "--quiet", "--cache-size", "0"])).unwrap();
+        assert!(out.lines().last().unwrap().contains("cache=off"), "{out}");
 
         // An explicit cache size is accepted; a bad one is rejected.
         let out = dispatch(&args(&["batch", g, q, "--quiet", "--cache-size", "128"])).unwrap();

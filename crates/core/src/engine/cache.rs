@@ -1,58 +1,56 @@
-//! Sharded LRU cache of query results, keyed by canonical
-//! `(s, t, [τ_b, τ_e])` queries.
+//! The engine's two resident caches, built on one LRU: [`ResultCache`]
+//! memoizes the [`VugResult`] of canonical `(s, t, [τ_b, τ_e])` queries and
+//! [`ProfileCache`] keeps per-source [`ArrivalProfile`]s across batches.
 //!
-//! The engine's graph is immutable between edge ingestions, so a query's
-//! tspG never changes within one graph epoch and memoizing whole
-//! [`VugResult`]s is sound. The cache is consulted before batch planning
-//! and populated after execution; under repeated-query serving traffic a
-//! hit skips the entire pipeline. When the graph mutates
-//! ([`crate::engine::QueryEngine::ingest`]) the whole cache is flushed via
-//! [`ResultCache::clear`] — an epoch-scoped flush is equivalent to
-//! epoch-tagged keys here because result keys are dense and short-lived,
-//! and it releases the stale entries' memory immediately instead of
-//! waiting for LRU pressure.
+//! The engine's graph is immutable between edge ingestions, so within one
+//! graph epoch a query's tspG and a source's arrival profile never change
+//! and memoizing them is sound. The result cache is consulted before batch
+//! planning and populated after execution; under repeated-query serving
+//! traffic a hit skips the entire pipeline. The profile cache is consulted
+//! before any profile forward pass. When the graph mutates
+//! ([`crate::engine::QueryEngine::ingest`]) both caches are flushed
+//! outright: every resident value was computed at the previous epoch, and
+//! the flush releases its memory at once instead of leaving it resident
+//! until LRU pressure reclaims it.
 //!
-//! The map is split into independently locked shards (key-hash selected) so
-//! that concurrent executor workers and front-end threads do not serialize
-//! on one mutex. Each shard maintains its own intrusive LRU list and is
-//! bounded both by entry count and by approximate heap bytes; inserting
+//! Each cache is one mutex around a hash map and a recency index (a B-tree
+//! from last-use tick to key), so a lookup, an insertion and each eviction
+//! cost `O(log n)` and none scans the entries. One mutex is enough: only
+//! the thread running a batch reads or fills the result cache, and the
+//! profile cache is touched once per profile group, not per query. Both
+//! caches are bounded by entry count and by approximate heap bytes: a
+//! value larger than the whole byte budget is not cached, and inserting
 //! past either bound evicts least-recently-used entries. Hit / miss /
-//! insert / evict counters are global atomics, readable at any time via
-//! [`ResultCache::stats`] without taking a shard lock.
+//! insert / evict counters live under the same mutex and are read with
+//! the occupancy through `stats`.
 
 use crate::engine::QuerySpec;
 use crate::polarity::ArrivalProfile;
-use crate::vug::{VugReport, VugResult};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use tspg_graph::{EdgeSet, GraphEpoch, TimeInterval, VertexId};
+use crate::vug::VugResult;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::mem::size_of;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use tspg_graph::{TimeInterval, VertexId};
 
 /// Sizing of a [`ResultCache`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Maximum number of cached results across all shards (≥ 1).
+    /// Maximum number of cached results (≥ 1; 0 is rounded up to 1).
     pub max_entries: usize,
-    /// Approximate upper bound on cached heap bytes across all shards.
-    /// A single result larger than this whole budget is not cached at all;
-    /// one merely larger than its shard's share is still admitted (it
-    /// simply becomes the only resident entry of its shard).
+    /// Approximate upper bound on cached heap bytes. A single result larger
+    /// than this is not cached at all.
     pub max_bytes: usize,
-    /// Number of independently locked shards (≥ 1; rounded up to 1).
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self { max_entries: 4096, max_bytes: 64 << 20, shards: 8 }
+        Self { max_entries: 4096, max_bytes: 64 << 20 }
     }
 }
 
 impl CacheConfig {
-    /// A config with the given entry bound and the default byte/shard
-    /// limits.
+    /// A config with the given entry bound and the default byte limit.
     pub fn with_max_entries(max_entries: usize) -> Self {
         Self { max_entries: max_entries.max(1), ..Self::default() }
     }
@@ -104,281 +102,209 @@ impl CacheStats {
     }
 }
 
-const NIL: usize = usize::MAX;
+/// What [`Lru::insert`] does with a key that is already resident.
+#[derive(Clone, Copy, Debug)]
+enum OnResident {
+    /// Keep the resident value and only mark it most recently used: the
+    /// caller's value is known to equal it.
+    Keep,
+    /// Store the caller's value in its place, counted as an insertion.
+    Replace,
+}
 
-/// One cached result inside a shard's slot arena, threaded on the shard's
-/// doubly linked LRU list (`head` = most recently used).
+/// One resident value, stamped with the recency tick of its last use.
 #[derive(Debug)]
-struct Slot {
-    key: QuerySpec,
-    value: VugResult,
+struct Entry<V> {
+    value: V,
     bytes: usize,
-    prev: usize,
-    next: usize,
+    used: u64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<QuerySpec, usize>,
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+/// Everything an [`Lru`]'s mutex guards.
+#[derive(Debug)]
+struct LruState<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    /// Last-use tick → key; the first key is the least recently used.
+    recency: BTreeMap<u64, K>,
+    tick: u64,
     bytes: usize,
+    /// Hit / miss / insert / evict tallies; the occupancy fields stay zero
+    /// here and are filled in by [`Lru::stats`].
+    counters: CacheStats,
 }
 
-impl Shard {
-    fn new() -> Self {
-        Self { head: NIL, tail: NIL, ..Self::default() }
+impl<K: Copy + Eq + Hash, V> LruState<K, V> {
+    /// Marks `key`'s entry, if resident, as the most recently used.
+    fn touch(&mut self, key: K) -> Option<&mut Entry<V>> {
+        let entry = self.entries.get_mut(&key)?;
+        self.recency.remove(&entry.used);
+        self.tick += 1;
+        entry.used = self.tick;
+        self.recency.insert(self.tick, key);
+        Some(entry)
+    }
+}
+
+/// The one LRU map behind both caches: a single mutex, an entry bound, a
+/// byte bound and one set of counters.
+#[derive(Debug)]
+struct Lru<K, V> {
+    state: Mutex<LruState<K, V>>,
+    max_entries: usize,
+    max_bytes: usize,
+    on_resident: OnResident,
+}
+
+impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new(max_entries: usize, max_bytes: usize, on_resident: OnResident) -> Self {
+        let state = LruState {
+            entries: HashMap::new(),
+            recency: BTreeMap::new(),
+            tick: 0,
+            bytes: 0,
+            counters: CacheStats::default(),
+        };
+        Self { state: Mutex::new(state), max_entries: max_entries.max(1), max_bytes, on_resident }
     }
 
-    fn unlink(&mut self, slot: usize) {
-        let (prev, next) = (self.slots[slot].prev, self.slots[slot].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].prev = prev,
-        }
+    /// The guarded state. A poisoned mutex is recovered: every update below
+    /// leaves the map, the recency index and the byte total consistent at
+    /// any point a value clone could panic.
+    fn locked(&self) -> MutexGuard<'_, LruState<K, V>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn push_front(&mut self, slot: usize) {
-        self.slots[slot].prev = NIL;
-        self.slots[slot].next = self.head;
-        match self.head {
-            NIL => self.tail = slot,
-            h => self.slots[h].prev = slot,
+    /// Looks up `key`. A resident value that `usable` accepts is a hit and
+    /// becomes the most recently used; one it rejects counts as a miss,
+    /// like an absent key.
+    fn get(&self, key: &K, usable: impl FnOnce(&V) -> bool) -> Option<V> {
+        let mut state = self.locked();
+        let hit = state.entries.get(key).is_some_and(|entry| usable(&entry.value));
+        let found = if hit { state.touch(*key).map(|entry| entry.value.clone()) } else { None };
+        match found {
+            Some(_) => state.counters.hits += 1,
+            None => state.counters.misses += 1,
         }
-        self.head = slot;
+        found
     }
 
-    fn get(&mut self, key: &QuerySpec) -> Option<VugResult> {
-        let slot = *self.map.get(key)?;
-        self.unlink(slot);
-        self.push_front(slot);
-        Some(self.slots[slot].value.clone())
-    }
-
-    /// Inserts (or refreshes) an entry, then evicts from the tail until the
-    /// shard is within both bounds. Returns `(inserted, evicted)`.
-    ///
-    /// Admission is checked against `global_max_bytes` (the whole cache's
-    /// configured budget), not the shard's share: a result that fits the
-    /// budget the caller configured must never be silently refused just
-    /// because key hashing divided that budget by the shard count. The
-    /// eviction loop below still enforces `max_bytes` (the per-shard
-    /// share), but its `len() > 1` guard lets a single oversized entry
-    /// live alone in its shard.
-    fn insert(
-        &mut self,
-        key: QuerySpec,
-        value: &VugResult,
-        bytes: usize,
-        max_entries: usize,
-        max_bytes: usize,
-        global_max_bytes: usize,
-    ) -> (bool, u64) {
-        if bytes > global_max_bytes || max_entries == 0 {
-            return (false, 0);
+    /// Stores `value` (costing `bytes`) under `key`, then evicts
+    /// least-recently-used entries until both bounds hold. A value larger
+    /// than the whole byte budget is skipped; a resident key is handled as
+    /// [`OnResident`] says.
+    fn insert(&self, key: K, value: &V, bytes: usize) {
+        if bytes > self.max_bytes {
+            return;
         }
-        let inserted = match self.map.get(&key) {
-            Some(&slot) => {
-                // Same canonical query ⇒ same tspG; just refresh recency.
-                self.unlink(slot);
-                self.push_front(slot);
-                false
+        let mut guard = self.locked();
+        let state = &mut *guard;
+        let replaced_bytes = match state.touch(key) {
+            Some(_) if matches!(self.on_resident, OnResident::Keep) => return,
+            Some(entry) => {
+                entry.value = value.clone();
+                std::mem::replace(&mut entry.bytes, bytes)
             }
             None => {
-                let slot = match self.free.pop() {
-                    Some(reused) => {
-                        self.slots[reused] =
-                            Slot { key, value: value.clone(), bytes, prev: NIL, next: NIL };
-                        reused
-                    }
-                    None => {
-                        self.slots.push(Slot {
-                            key,
-                            value: value.clone(),
-                            bytes,
-                            prev: NIL,
-                            next: NIL,
-                        });
-                        self.slots.len() - 1
-                    }
-                };
-                self.map.insert(key, slot);
-                self.push_front(slot);
-                self.bytes += bytes;
-                true
+                state.tick += 1;
+                state.entries.insert(key, Entry { value: value.clone(), bytes, used: state.tick });
+                state.recency.insert(state.tick, key);
+                0
             }
         };
-        let mut evicted = 0;
-        while self.map.len() > max_entries || (self.bytes > max_bytes && self.map.len() > 1) {
-            let tail = self.tail;
-            debug_assert_ne!(tail, NIL);
-            self.unlink(tail);
-            self.bytes -= self.slots[tail].bytes;
-            self.map.remove(&self.slots[tail].key);
-            // Drop the evicted result now — a free slot must not pin the
-            // tspG's heap allocation until its eventual reuse, or real
-            // memory could exceed the byte bound stats() reports against.
-            self.slots[tail].value =
-                VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
-            self.slots[tail].bytes = 0;
-            self.free.push(tail);
-            evicted += 1;
+        state.bytes = state.bytes - replaced_bytes + bytes;
+        state.counters.insertions += 1;
+        while state.entries.len() > self.max_entries || state.bytes > self.max_bytes {
+            let Some((_, victim)) = state.recency.pop_first() else { break };
+            if let Some(evicted) = state.entries.remove(&victim) {
+                state.bytes -= evicted.bytes;
+            }
+            state.counters.evictions += 1;
         }
-        (inserted, evicted)
     }
 
-    /// Drops every resident entry and releases its heap allocation, keeping
-    /// the slot arena's capacity for reuse.
-    fn clear(&mut self) {
-        self.map.clear();
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            slot.value = VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
-            slot.bytes = 0;
-            self.free.push(i);
-        }
-        self.head = NIL;
-        self.tail = NIL;
-        self.bytes = 0;
+    /// Drops every entry and releases its value. Not counted as evictions:
+    /// the counters keep measuring capacity pressure, and their history
+    /// survives the flush.
+    fn clear(&self) {
+        let mut state = self.locked();
+        state.entries.clear();
+        state.recency.clear();
+        state.bytes = 0;
+    }
+
+    /// Counters plus current occupancy.
+    fn stats(&self) -> CacheStats {
+        let state = self.locked();
+        CacheStats { entries: state.entries.len(), bytes: state.bytes, ..state.counters }
     }
 }
 
-/// The engine's sharded LRU result cache. See the module docs.
+/// Fixed heap cost of one resident entry beyond its value's own
+/// allocation: the key and [`Entry`] in the hash map plus the tick and key
+/// in the recency index, doubled for the spare capacity both keep (a hash
+/// map stays below full load, B-tree nodes are partly empty). Charging only
+/// the value's bytes would let small values blow far past `max_bytes` in
+/// real memory while the accounted total stays near zero.
+const fn entry_overhead<K, V>() -> usize {
+    2 * (size_of::<(K, Entry<V>)>() + size_of::<(u64, K)>())
+}
+
+/// Per-entry overhead of a [`ResultCache`] entry.
+const ENTRY_OVERHEAD: usize = entry_overhead::<QuerySpec, VugResult>();
+
+/// Approximate heap footprint of one cached result.
+fn entry_bytes(value: &VugResult) -> usize {
+    value.tspg.approx_bytes() + ENTRY_OVERHEAD
+}
+
+/// Approximate heap footprint of one resident profile, including the
+/// `Arc`'s two reference counts.
+fn profile_bytes(profile: &ArrivalProfile) -> usize {
+    profile.approx_bytes()
+        + entry_overhead::<VertexId, Arc<ArrivalProfile>>()
+        + 2 * size_of::<usize>()
+}
+
+/// The engine's LRU result cache. See the module docs.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
-    max_entries_per_shard: usize,
-    max_bytes_per_shard: usize,
-    max_bytes_global: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    lru: Lru<QuerySpec, VugResult>,
 }
 
 impl ResultCache {
     /// Creates an empty cache with the given bounds.
     pub fn new(config: CacheConfig) -> Self {
-        // Never more shards than entries: each shard holds at least one
-        // entry, so excess shards would silently inflate the global bound.
-        let shards = config.shards.clamp(1, config.max_entries.max(1));
-        Self {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
-            max_entries_per_shard: (config.max_entries / shards).max(1),
-            max_bytes_per_shard: (config.max_bytes / shards).max(1),
-            max_bytes_global: config.max_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &QuerySpec) -> &Mutex<Shard> {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+        // Same canonical query ⇒ same tspG within an epoch: a resident
+        // result never needs replacing.
+        Self { lru: Lru::new(config.max_entries, config.max_bytes, OnResident::Keep) }
     }
 
     /// Looks up the result of a canonical query, refreshing its recency.
     pub fn get(&self, key: &QuerySpec) -> Option<VugResult> {
-        let result = self.shard(key).lock().ok()?.get(key);
-        // relaxed: hit/miss tallies are pure statistics — no reader orders
-        // other memory against them.
-        match result {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        result
+        self.lru.get(key, |_| true)
     }
 
     /// Stores the result of a canonical query, evicting LRU entries as
-    /// needed. Oversized results (larger than the whole configured byte
-    /// budget) are silently skipped.
+    /// needed. Results larger than the whole byte budget are skipped, and
+    /// re-storing a resident query only refreshes its recency.
     pub fn insert(&self, key: QuerySpec, value: &VugResult) {
-        let bytes = entry_bytes(value);
-        let Ok(mut shard) = self.shard(&key).lock() else { return };
-        let (inserted, evicted) = shard.insert(
-            key,
-            value,
-            bytes,
-            self.max_entries_per_shard,
-            self.max_bytes_per_shard,
-            self.max_bytes_global,
-        );
-        drop(shard);
-        // relaxed: insertion/eviction tallies are pure statistics; the
-        // cached data itself is published by the shard mutex above.
-        if inserted {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        self.lru.insert(key, value, entry_bytes(value));
     }
 
-    /// Drops every resident entry at once — the graph-epoch flush.
+    /// Drops every resident entry at once — the ingest flush.
     ///
-    /// Called when the underlying graph mutates: every cached tspG was
-    /// computed against the previous epoch and must become unreachable.
     /// Flushed entries are not counted as evictions (`cache_evictions`
     /// keeps measuring capacity pressure, not invalidation); the hit/miss
     /// history is preserved so hit-rate recovery after an ingest is
     /// observable in the same counters.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            if let Ok(mut shard) = shard.lock() {
-                shard.clear();
-            }
-        }
+        self.lru.clear();
     }
 
     /// Counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let (mut entries, mut bytes) = (0, 0);
-        for shard in &self.shards {
-            if let Ok(shard) = shard.lock() {
-                entries += shard.map.len();
-                bytes += shard.bytes;
-            }
-        }
-        // relaxed: a stats snapshot tolerates torn reads across counters;
-        // each counter individually is just a monotone tally.
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
-        }
+        self.lru.stats()
     }
-}
-
-/// Fixed per-entry overhead charged on top of the result's own heap bytes.
-///
-/// An entry does not just own its tspG: it pins a [`Slot`] in the shard's
-/// slot arena (key + value struct + the two intrusive LRU links), a
-/// `key → slot` pair in the shard's hash map, and a share of the map's
-/// bucket/control metadata (hash maps keep a load factor below 1, so each
-/// resident entry costs more than its own pair; 2× is a conservative
-/// stand-in). Charging only `tspg.approx_bytes()` would let a small-result
-/// workload blow far past `max_bytes` in real memory while the accounted
-/// total stays near zero.
-const ENTRY_OVERHEAD: usize = std::mem::size_of::<Slot>()
-    + 2 * std::mem::size_of::<(QuerySpec, usize)>()
-    + std::mem::size_of::<usize>();
-
-/// Approximate heap footprint of one cached entry: the result's own heap
-/// allocation plus [`ENTRY_OVERHEAD`].
-fn entry_bytes(value: &VugResult) -> usize {
-    value.tspg.approx_bytes() + ENTRY_OVERHEAD
 }
 
 /// Sizing of a [`ProfileCache`].
@@ -416,7 +342,7 @@ pub struct ProfileCacheStats {
     pub hits: u64,
     /// Lookups that found no profile, or one with too narrow a hull.
     pub misses: u64,
-    /// Profiles stored (replacements of a stale same-source profile
+    /// Profiles stored (replacements of a too-narrow same-source profile
     /// included — the value really changed).
     pub insertions: u64,
     /// Profiles dropped to satisfy the entry or byte bound.
@@ -444,172 +370,49 @@ impl ProfileCacheStats {
     }
 }
 
-/// Cache key for one source's resident arrival profile.
-///
-/// `epoch` is the [`GraphEpoch`] the profile was computed against, supplied
-/// by the engine from the live graph on every lookup and insert. Bumping
-/// the graph's epoch therefore makes every resident profile unreachable
-/// without a stop-the-world flush: old-epoch entries linger until LRU
-/// pressure reclaims them, but no key built from the live graph can ever
-/// address one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    source: VertexId,
-    epoch: GraphEpoch,
-}
-
-#[derive(Debug)]
-struct ProfileEntry {
-    value: Arc<ArrivalProfile>,
-    bytes: usize,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct ProfileMap {
-    map: HashMap<ProfileKey, ProfileEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// A small keyed LRU of per-source [`ArrivalProfile`]s, consulted by the
-/// engine before any profile forward pass and surviving across batches in
-/// the resident server.
+/// A small LRU of per-source [`ArrivalProfile`]s, consulted by the engine
+/// before any profile forward pass and surviving across batches in the
+/// resident server until the next ingest flushes it.
 ///
 /// A lookup hits only when the resident profile's hull `covers` the
 /// requested window (same source, hull ⊇ window — begins may differ, that
 /// is the whole point of a profile); a too-narrow hull is a miss and the
-/// caller's freshly computed wider profile replaces it. The cache is one
-/// mutex — it is touched once per profile *group*, not per query, so
-/// sharding would buy nothing — and eviction scans for the least recently
-/// used entry linearly, which at ≤ a few hundred hot sources beats
-/// maintaining an intrusive list.
+/// caller's freshly computed profile replaces it.
 #[derive(Debug)]
 pub struct ProfileCache {
-    inner: Mutex<ProfileMap>,
-    max_entries: usize,
-    max_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
+    lru: Lru<VertexId, Arc<ArrivalProfile>>,
 }
 
 impl ProfileCache {
     /// Creates an empty cache with the given bounds.
     pub fn new(config: ProfileCacheConfig) -> Self {
-        Self {
-            inner: Mutex::new(ProfileMap::default()),
-            max_entries: config.max_entries.max(1),
-            max_bytes: config.max_bytes,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        Self { lru: Lru::new(config.max_entries, config.max_bytes, OnResident::Replace) }
     }
 
-    /// Looks up a resident profile for `source` computed at `epoch` and
-    /// able to answer `window`, refreshing its recency. Profiles from any
-    /// other epoch are unreachable by key construction.
-    pub fn get(
-        &self,
-        source: VertexId,
-        epoch: GraphEpoch,
-        window: TimeInterval,
-    ) -> Option<Arc<ArrivalProfile>> {
-        let key = ProfileKey { source, epoch };
-        let found = match self.inner.lock() {
-            Ok(mut inner) => {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.get_mut(&key).and_then(|entry| {
-                    if entry.value.covers(source, window) {
-                        entry.last_used = tick;
-                        Some(entry.value.clone())
-                    } else {
-                        None
-                    }
-                })
-            }
-            Err(_) => None,
-        };
-        // relaxed: hit/miss tallies are pure statistics — no reader orders
-        // other memory against them.
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+    /// Looks up a resident profile for `source` able to answer `window`,
+    /// refreshing its recency.
+    pub fn get(&self, source: VertexId, window: TimeInterval) -> Option<Arc<ArrivalProfile>> {
+        self.lru.get(&source, |profile| profile.covers(source, window))
     }
 
-    /// Stores a profile under its source and the graph `epoch` it was
-    /// computed at, replacing any resident profile for that `(source,
-    /// epoch)` and evicting LRU entries as needed. Profiles larger than the
-    /// whole byte bound are silently skipped.
-    pub fn insert(&self, profile: Arc<ArrivalProfile>, epoch: GraphEpoch) {
-        let bytes = profile_bytes(&profile);
-        if bytes > self.max_bytes {
-            return;
-        }
-        let key = ProfileKey { source: profile.source(), epoch };
-        let Ok(mut inner) = self.inner.lock() else { return };
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.insert(key, ProfileEntry { value: profile, bytes, last_used: tick }) {
-            Some(old) => inner.bytes = inner.bytes - old.bytes + bytes,
-            None => inner.bytes += bytes,
-        }
-        let mut evicted = 0u64;
-        while inner.map.len() > self.max_entries
-            || (inner.bytes > self.max_bytes && inner.map.len() > 1)
-        {
-            let Some((&victim, _)) = inner.map.iter().min_by_key(|(_, entry)| entry.last_used)
-            else {
-                break;
-            };
-            if let Some(old) = inner.map.remove(&victim) {
-                inner.bytes -= old.bytes;
-                evicted += 1;
-            }
-        }
-        drop(inner);
-        // relaxed: insertion/eviction tallies are pure statistics; the
-        // cached profile itself is published by the mutex above.
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+    /// Stores a profile under its source, replacing any resident profile of
+    /// that source and evicting LRU entries as needed. Profiles larger than
+    /// the whole byte bound are skipped.
+    pub fn insert(&self, profile: &Arc<ArrivalProfile>) {
+        self.lru.insert(profile.source(), profile, profile_bytes(profile));
+    }
+
+    /// Drops every resident profile at once — the ingest flush. Like
+    /// [`ResultCache::clear`], not counted as evictions.
+    pub fn clear(&self) {
+        self.lru.clear();
     }
 
     /// Counters plus current occupancy.
     pub fn stats(&self) -> ProfileCacheStats {
-        let (entries, bytes) = match self.inner.lock() {
-            Ok(inner) => (inner.map.len(), inner.bytes),
-            Err(_) => (0, 0),
-        };
-        // relaxed: a stats snapshot tolerates torn reads across counters;
-        // each counter individually is just a monotone tally.
-        ProfileCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-            bytes,
-        }
+        let CacheStats { hits, misses, insertions, evictions, entries, bytes } = self.lru.stats();
+        ProfileCacheStats { hits, misses, insertions, evictions, entries, bytes }
     }
-}
-
-/// Fixed per-profile overhead charged on top of the profile's own heap
-/// bytes: the map entry, its share of bucket metadata, and the `Arc`
-/// control block.
-const PROFILE_ENTRY_OVERHEAD: usize =
-    2 * std::mem::size_of::<(ProfileKey, ProfileEntry)>() + 2 * std::mem::size_of::<u64>();
-
-/// Approximate heap footprint of one resident profile.
-fn profile_bytes(profile: &ArrivalProfile) -> usize {
-    profile.approx_bytes() + PROFILE_ENTRY_OVERHEAD
 }
 
 #[cfg(test)]
@@ -627,8 +430,8 @@ mod tests {
         VugResult { tspg, report: VugReport::default() }
     }
 
-    fn single_shard(max_entries: usize, max_bytes: usize) -> ResultCache {
-        ResultCache::new(CacheConfig { max_entries, max_bytes, shards: 1 })
+    fn bounded(max_entries: usize, max_bytes: usize) -> ResultCache {
+        ResultCache::new(CacheConfig { max_entries, max_bytes })
     }
 
     #[test]
@@ -647,7 +450,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used_entry() {
-        let cache = single_shard(2, usize::MAX >> 1);
+        let cache = bounded(2, usize::MAX >> 1);
         cache.insert(key(1), &result(1));
         cache.insert(key(2), &result(1));
         // Touch key 1 so key 2 becomes LRU.
@@ -661,9 +464,26 @@ mod tests {
     }
 
     #[test]
+    fn default_cache_holds_4096_entries_before_its_first_eviction() {
+        // The whole entry bound is one LRU's: no key-hash partition fills
+        // early and evicts while the cache as a whole has room.
+        let cache = ResultCache::new(CacheConfig::default());
+        for i in 0..4096 {
+            cache.insert(key(i), &result(1));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (4096, 0), "{stats:?}");
+        cache.insert(key(4096), &result(1));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (4096, 1), "{stats:?}");
+        assert!(cache.get(&key(0)).is_none(), "the least recently used entry goes first");
+        assert!(cache.get(&key(1)).is_some());
+    }
+
+    #[test]
     fn byte_bound_evicts_and_oversized_results_are_skipped() {
         let per_entry = entry_bytes(&result(4));
-        let cache = single_shard(1024, 2 * per_entry + per_entry / 2);
+        let cache = bounded(1024, 2 * per_entry + per_entry / 2);
         cache.insert(key(1), &result(4));
         cache.insert(key(2), &result(4));
         cache.insert(key(3), &result(4));
@@ -671,8 +491,8 @@ mod tests {
         assert!(stats.entries <= 2, "byte bound must hold: {stats:?}");
         assert!(stats.bytes <= 2 * per_entry + per_entry / 2);
         assert!(stats.evictions >= 1);
-        // A result bigger than the whole shard is never admitted.
-        let tiny = single_shard(1024, per_entry / 2);
+        // A result bigger than the whole budget is never admitted.
+        let tiny = bounded(1024, per_entry / 2);
         tiny.insert(key(9), &result(4));
         assert_eq!(tiny.stats().entries, 0);
         assert!(tiny.get(&key(9)).is_none());
@@ -682,13 +502,13 @@ mod tests {
     fn empty_results_still_pay_per_entry_overhead() {
         // A zero-edge result owns no tspG heap at all; if the accounting
         // charged only the value's approximate bytes, max_bytes would never
-        // bite and resident memory (Slot + map entry per insert) would grow
-        // unboundedly. With the per-entry overhead charged, a byte bound
-        // sized for ~8 entries must hold the cache to ~8 entries.
+        // bite and resident memory (map and recency entries per insert)
+        // would grow unboundedly. With the per-entry overhead charged, a
+        // byte bound sized for ~8 entries must hold the cache to ~8 entries.
         let empty = VugResult { tspg: EdgeSet::new(), report: VugReport::default() };
         assert_eq!(entry_bytes(&empty), ENTRY_OVERHEAD);
         let budget = 8 * ENTRY_OVERHEAD;
-        let cache = single_shard(usize::MAX >> 1, budget);
+        let cache = bounded(usize::MAX >> 1, budget);
         for i in 0..256 {
             cache.insert(key(i), &empty);
         }
@@ -700,7 +520,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_key_refreshes_recency_without_double_counting() {
-        let cache = single_shard(2, usize::MAX >> 1);
+        let cache = bounded(2, usize::MAX >> 1);
         cache.insert(key(1), &result(1));
         cache.insert(key(2), &result(1));
         cache.insert(key(1), &result(1)); // refresh, not a new entry
@@ -712,35 +532,8 @@ mod tests {
     }
 
     #[test]
-    fn oversized_entry_fitting_global_budget_is_admitted_in_sharded_cache() {
-        // Regression: admission used to be checked against max_bytes /
-        // shards, so an entry within the configured global budget but above
-        // one shard's share was silently refused whenever shards > 1.
-        let per_entry = entry_bytes(&result(4));
-        let global = 3 * per_entry; // per-shard share = 3/4 of one entry
-        let cache = ResultCache::new(CacheConfig { max_entries: 64, max_bytes: global, shards: 4 });
-        cache.insert(key(1), &result(4));
-        assert!(cache.get(&key(1)).is_some(), "entry within global budget must be cached");
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 1, "{stats:?}");
-        assert_eq!(stats.insertions, 1, "{stats:?}");
-        // It lives alone in its shard: inserting a second entry that hashes
-        // to the same shard may evict one, but the global byte budget holds.
-        for i in 2..32 {
-            cache.insert(key(i), &result(4));
-        }
-        assert!(cache.stats().bytes <= global + 3 * per_entry, "one oversized entry per shard");
-        // Entries above the global budget are still refused outright.
-        let tiny =
-            ResultCache::new(CacheConfig { max_entries: 64, max_bytes: per_entry - 1, shards: 4 });
-        tiny.insert(key(1), &result(4));
-        assert_eq!(tiny.stats().entries, 0);
-    }
-
-    #[test]
     fn clear_flushes_every_shard_without_counting_evictions() {
-        let cache =
-            ResultCache::new(CacheConfig { max_entries: 64, max_bytes: 1 << 20, shards: 4 });
+        let cache = bounded(64, 1 << 20);
         for i in 0..16 {
             cache.insert(key(i), &result(2));
         }
@@ -749,36 +542,14 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 0, "{stats:?}");
         assert_eq!(stats.bytes, 0, "{stats:?}");
-        assert_eq!(stats.evictions, 0, "an epoch flush is not capacity pressure");
+        assert_eq!(stats.evictions, 0, "an ingest flush is not capacity pressure");
         assert_eq!(stats.insertions, 16, "history survives the flush");
         for i in 0..16 {
             assert!(cache.get(&key(i)).is_none(), "flushed entries must be gone");
         }
-        // The cache keeps working after a flush (slot arena is reused).
+        // The cache keeps working after a flush.
         cache.insert(key(0), &result(2));
         assert!(cache.get(&key(0)).is_some());
-    }
-
-    #[test]
-    fn tiny_entry_bounds_are_honored_even_with_many_shards() {
-        // max_entries < shards must not inflate the global bound to one
-        // entry per shard.
-        let cache = ResultCache::new(CacheConfig { max_entries: 2, max_bytes: 1 << 20, shards: 8 });
-        for i in 0..32 {
-            cache.insert(key(i), &result(1));
-        }
-        assert!(cache.stats().entries <= 2, "{:?}", cache.stats());
-    }
-
-    #[test]
-    fn shards_partition_the_bounds() {
-        let cache = ResultCache::new(CacheConfig { max_entries: 8, max_bytes: 1 << 20, shards: 4 });
-        for i in 0..64 {
-            cache.insert(key(i), &result(1));
-        }
-        let stats = cache.stats();
-        assert!(stats.entries <= 8, "{stats:?}");
-        assert!(stats.evictions >= 56);
     }
 
     fn profile(source: VertexId, begin: i64, end: i64) -> Arc<ArrivalProfile> {
@@ -798,15 +569,15 @@ mod tests {
     #[test]
     fn profile_cache_hits_any_covered_window_and_counts() {
         let cache = ProfileCache::new(ProfileCacheConfig::default());
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none());
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
+        assert!(cache.get(0, TimeInterval::new(2, 6)).is_none());
+        cache.insert(&profile(0, 1, 9));
         // Any sub-window of the resident hull hits, begins included.
         for begin in 1..=5 {
-            assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(begin, 6)).is_some());
+            assert!(cache.get(0, TimeInterval::new(begin, 6)).is_some());
         }
         // Other sources and wider windows miss.
-        assert!(cache.get(1, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none());
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(0, 6)).is_none());
+        assert!(cache.get(1, TimeInterval::new(2, 6)).is_none());
+        assert!(cache.get(0, TimeInterval::new(0, 6)).is_none());
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (5, 3, 1));
         assert_eq!(stats.entries, 1);
@@ -816,13 +587,10 @@ mod tests {
     #[test]
     fn profile_cache_replaces_stale_narrow_profiles_in_place() {
         let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(4));
-        cache.insert(profile(0, 3, 5), GraphEpoch::ZERO);
-        assert!(
-            cache.get(0, GraphEpoch::ZERO, TimeInterval::new(1, 9)).is_none(),
-            "narrow hull must miss"
-        );
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(1, 9)).is_some());
+        cache.insert(&profile(0, 3, 5));
+        assert!(cache.get(0, TimeInterval::new(1, 9)).is_none(), "narrow hull must miss");
+        cache.insert(&profile(0, 1, 9));
+        assert!(cache.get(0, TimeInterval::new(1, 9)).is_some());
         let stats = cache.stats();
         assert_eq!(stats.entries, 1, "same source replaces, never duplicates");
         assert_eq!(stats.insertions, 2);
@@ -832,17 +600,14 @@ mod tests {
     #[test]
     fn profile_cache_evicts_least_recently_used_sources() {
         let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(2));
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(1, 1, 9), GraphEpoch::ZERO);
+        cache.insert(&profile(0, 1, 9));
+        cache.insert(&profile(1, 1, 9));
         // Touch source 0 so source 1 becomes LRU.
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        cache.insert(profile(2, 1, 9), GraphEpoch::ZERO);
-        assert!(
-            cache.get(1, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none(),
-            "LRU source must be evicted"
-        );
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        assert!(cache.get(2, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
+        assert!(cache.get(0, TimeInterval::new(2, 6)).is_some());
+        cache.insert(&profile(2, 1, 9));
+        assert!(cache.get(1, TimeInterval::new(2, 6)).is_none(), "LRU source must be evicted");
+        assert!(cache.get(0, TimeInterval::new(2, 6)).is_some());
+        assert!(cache.get(2, TimeInterval::new(2, 6)).is_some());
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
     }
@@ -854,34 +619,17 @@ mod tests {
             max_entries: 1024,
             max_bytes: 2 * per_entry + per_entry / 2,
         });
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(1, 1, 9), GraphEpoch::ZERO);
-        cache.insert(profile(2, 1, 9), GraphEpoch::ZERO);
+        cache.insert(&profile(0, 1, 9));
+        cache.insert(&profile(1, 1, 9));
+        cache.insert(&profile(2, 1, 9));
         let stats = cache.stats();
         assert!(stats.entries <= 2, "byte bound must hold: {stats:?}");
         assert!(stats.bytes <= 2 * per_entry + per_entry / 2);
         assert!(stats.evictions >= 1);
         // A profile bigger than the whole bound is never admitted.
         let tiny = ProfileCache::new(ProfileCacheConfig { max_entries: 1024, max_bytes: 1 });
-        tiny.insert(profile(0, 1, 9), GraphEpoch::ZERO);
+        tiny.insert(&profile(0, 1, 9));
         assert_eq!(tiny.stats().entries, 0);
-    }
-
-    #[test]
-    fn profile_cache_scopes_entries_to_their_epoch() {
-        let cache = ProfileCache::new(ProfileCacheConfig::with_max_entries(8));
-        cache.insert(profile(0, 1, 9), GraphEpoch::ZERO);
-        assert!(cache.get(0, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_some());
-        // The same source at a newer epoch misses: the old profile is
-        // unreachable by key construction, no flush required.
-        let next = GraphEpoch::ZERO.next();
-        assert!(cache.get(0, next, TimeInterval::new(2, 6)).is_none());
-        cache.insert(profile(0, 1, 9), next);
-        assert!(cache.get(0, next, TimeInterval::new(2, 6)).is_some());
-        // Both epochs' entries are resident until LRU pressure reclaims the
-        // stale one; the new epoch never sees it.
-        assert_eq!(cache.stats().entries, 2);
-        assert!(cache.get(0, next.next(), TimeInterval::new(2, 6)).is_none());
     }
 
     #[test]
@@ -893,8 +641,8 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..50 {
                         let source = (i + worker) % 12;
-                        if cache.get(source, GraphEpoch::ZERO, TimeInterval::new(2, 6)).is_none() {
-                            cache.insert(profile(source, 1, 9), GraphEpoch::ZERO);
+                        if cache.get(source, TimeInterval::new(2, 6)).is_none() {
+                            cache.insert(&profile(source, 1, 9));
                         }
                     }
                 });
@@ -907,8 +655,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache =
-            ResultCache::new(CacheConfig { max_entries: 64, max_bytes: 1 << 20, shards: 4 });
+        let cache = bounded(64, 1 << 20);
         std::thread::scope(|scope| {
             for worker in 0..4i64 {
                 let cache = &cache;

@@ -459,8 +459,8 @@ pub struct QueryEngine {
     /// Observed tspG/graph vertex ratios of past full-graph runs (the
     /// dense-graph envelope heuristic's input).
     density: DensityTracker,
-    /// Resident per-source arrival profiles, surviving across batches;
-    /// `None` when profile caching is off.
+    /// Resident per-source arrival profiles, surviving across batches until
+    /// the next ingest; `None` when profile caching is off.
     profiles: Option<ProfileCache>,
     /// Observed candidate-`H`/graph vertex ratios of past profile-clamped
     /// runs (the dense-graph profile heuristic's input — on dense graphs
@@ -603,11 +603,10 @@ impl QueryEngine {
     ///
     /// * the graph itself is byte-identical to a from-scratch build (see
     ///   [`TemporalGraph::extend_with_edges`]);
-    /// * the result cache is flushed outright ([`ResultCache::clear`]) —
-    ///   every cached tspG was computed at the previous epoch;
-    /// * resident arrival profiles need no flush: profile-cache keys carry
-    ///   the epoch, so pre-ingest profiles become unreachable by key
-    ///   construction and age out under LRU pressure;
+    /// * both resident caches are flushed outright ([`ResultCache::clear`],
+    ///   [`ProfileCache::clear`]) — every cached tspG and arrival profile
+    ///   was computed at the previous epoch, and the flush frees their
+    ///   memory at once; the flush is not counted as evictions;
     /// * the planner's observed-density heuristics are left alone — they
     ///   only steer *how* answers are computed, never what they are, and
     ///   edge appends shift density estimates gradually.
@@ -617,6 +616,9 @@ impl QueryEngine {
         let epoch = self.graph.extend_with_edges(edges);
         if let Some(cache) = &self.cache {
             cache.clear();
+        }
+        if let Some(profiles) = &self.profiles {
+            profiles.clear();
         }
         epoch
     }
@@ -642,30 +644,6 @@ impl QueryEngine {
         )
     }
 
-    /// Answers one query out of the caller's scratch arena, reusing a
-    /// shared [`SourceFrontier`] for the forward half of phase 1.
-    ///
-    /// Like [`QueryEngine::run`] this is a raw execution primitive (no
-    /// planner, no cache); the executor calls it for units the planner
-    /// grouped into frontier groups. The tspG is byte-identical to
-    /// [`QueryEngine::run`]'s — only the `quick_edges` / `tight_edges`
-    /// report counters may differ, because they describe the bounds the
-    /// pipeline computed on the frontier's candidate subgraph rather than
-    /// on the full graph (see `generate_tspg_frontier_scratch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frontier` does not cover the query (different source, a
-    /// different window begin, or an end beyond the frontier's hull).
-    pub fn run_with_frontier(
-        &self,
-        query: QuerySpec,
-        frontier: &SourceFrontier,
-        scratch: &mut QueryScratch,
-    ) -> VugResult {
-        generate_tspg_frontier_scratch(&self.graph, query, frontier, &self.config, scratch)
-    }
-
     /// Answers one query out of the caller's scratch arena, clamping a
     /// shared [`ArrivalProfile`] to the query's window for the forward half
     /// of phase 1.
@@ -675,9 +653,11 @@ impl QueryEngine {
     /// planner grouped into profile groups. The clamp materializes exactly
     /// the [`SourceFrontier`] a fresh forward pass at this query's window
     /// would compute (any begin inside the profiled hull, not just a shared
-    /// one), so the tspG is byte-identical to [`QueryEngine::run`]'s under
-    /// the same caveat as [`QueryEngine::run_with_frontier`]: only the
-    /// bound-size report counters may differ.
+    /// one), so the tspG is byte-identical to [`QueryEngine::run`]'s. Only
+    /// the `quick_edges` / `tight_edges` report counters may differ: they
+    /// describe the bounds the pipeline computed on the clamp's candidate
+    /// subgraph rather than on the full graph (see
+    /// `generate_tspg_frontier_scratch`).
     ///
     /// # Panics
     ///
@@ -713,15 +693,14 @@ impl QueryEngine {
         source: VertexId,
         window: TimeInterval,
     ) -> Arc<ArrivalProfile> {
-        let epoch = self.graph.epoch();
         if let Some(cache) = &self.profiles {
-            if let Some(profile) = cache.get(source, epoch, window) {
+            if let Some(profile) = cache.get(source, window) {
                 return profile;
             }
         }
         let profile = Arc::new(ArrivalProfile::compute(&self.graph, source, window));
         if let Some(cache) = &self.profiles {
-            cache.insert(Arc::clone(&profile), epoch);
+            cache.insert(&profile);
         }
         profile
     }
@@ -939,6 +918,37 @@ mod tests {
     }
 
     #[test]
+    fn ingest_flushes_resident_profiles_without_counting_evictions() {
+        let g = figure1_graph();
+        let (s, t, w) = figure1_query();
+        let mut engine = QueryEngine::new(g);
+        // Mixed-begin fan-out so the planner forms a profile group.
+        let fanout = [
+            QuerySpec::new(s, t, w),
+            QuerySpec::new(s, 2, TimeInterval::new(w.begin() + 1, w.end())),
+            QuerySpec::new(s, 3, w),
+        ];
+        let _ = engine.run_batch(&fanout, 2);
+        let before = engine.profile_cache_stats().expect("profile cache on by default");
+        assert_eq!(before.entries, 1, "{before:?}");
+        assert!(before.bytes > 0, "{before:?}");
+
+        engine.ingest(&[TemporalEdge::new(s, t, 5)]);
+        let after = engine.profile_cache_stats().unwrap();
+        assert_eq!((after.entries, after.bytes), (0, 0), "flushed on ingest: {after:?}");
+        assert_eq!(after.evictions, before.evictions, "a flush is not capacity pressure");
+        assert_eq!(after.insertions, before.insertions, "history survives the flush");
+
+        // The next fan-out misses and makes a profile of the new graph
+        // resident.
+        let _ = engine.run_batch(&fanout, 2);
+        let rerun = engine.profile_cache_stats().unwrap();
+        assert_eq!(rerun.misses, before.misses + 1, "{rerun:?}");
+        assert_eq!(rerun.insertions, before.insertions + 1, "{rerun:?}");
+        assert_eq!(rerun.entries, 1, "{rerun:?}");
+    }
+
+    #[test]
     fn batch_stats_account_for_every_query() {
         let g = figure1_graph();
         let (s, t, w) = figure1_query();
@@ -1087,46 +1097,6 @@ mod tests {
             let stolen = engine.run_batch(&queries, threads);
             for (i, (a, b)) in serial.iter().zip(stolen.iter()).enumerate() {
                 assert_eq!(a.tspg, b.tspg, "threads={threads} query #{i}");
-            }
-        }
-    }
-
-    #[test]
-    fn frontier_runs_match_direct_runs_bit_for_bit() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xf407);
-        let mut scratch = QueryScratch::new();
-        for case in 0..30 {
-            let n: u32 = rng.random_range(4..14);
-            let m = rng.random_range(8..90);
-            let edges: Vec<TemporalEdge> = (0..m)
-                .map(|_| {
-                    TemporalEdge::new(
-                        rng.random_range(0..n),
-                        rng.random_range(0..n),
-                        rng.random_range(1..12),
-                    )
-                })
-                .filter(|e| e.src != e.dst)
-                .collect();
-            let g = TemporalGraph::from_edges(n as usize, edges);
-            let engine = QueryEngine::new(g.clone());
-            let s = rng.random_range(0..n);
-            let begin = rng.random_range(1..4);
-            let hull = TimeInterval::new(begin, begin + 9);
-            let frontier = SourceFrontier::compute(&g, s, hull);
-            // Many targets and same-begin sub-windows off one frontier.
-            for _ in 0..5 {
-                let t = rng.random_range(0..n);
-                let window = TimeInterval::new(begin, rng.random_range(begin..=hull.end()));
-                let q = QuerySpec::new(s, t, window);
-                let shared = engine.run_with_frontier(q, &frontier, &mut scratch);
-                let direct = engine.run(q, &mut scratch);
-                assert_eq!(shared.tspg, direct.tspg, "case {case} query {q}");
-                assert_eq!(shared.report.result_vertices, direct.report.result_vertices);
-                assert_eq!(shared.report.result_edges, direct.report.result_edges);
-                assert_eq!(shared.report.input_edges, direct.report.input_edges);
             }
         }
     }

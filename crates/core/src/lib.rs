@@ -27,9 +27,10 @@
 //! assemble** pipeline — duplicate queries collapse, window-contained
 //! queries are answered from the covering query's tspG, execution is an
 //! atomic-cursor work-stealing loop across scoped threads (each worker
-//! reusing a [`QueryScratch`] arena, zero steady-state allocation), and a
-//! sharded LRU [`engine::cache::ResultCache`] memoizes `(s, t, window)` →
-//! tspG across batches. Result ordering stays deterministic throughout.
+//! reusing a [`QueryScratch`] arena, zero steady-state allocation), and an
+//! LRU [`engine::cache::ResultCache`] memoizes `(s, t, window)` → tspG
+//! across batches until edges are ingested. Result ordering stays
+//! deterministic throughout.
 //!
 //! # Quick start
 //!

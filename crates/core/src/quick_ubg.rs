@@ -26,38 +26,22 @@ pub fn quick_upper_bound_graph_into(
     out.assign_edge_induced(graph, |_, e| polarity.admits_edge(e.src, e.dst, e.time));
 }
 
-/// Frontier-restricted variant of [`quick_upper_bound_graph_into`]: instead
-/// of filtering all `m` edges of the input graph, scan only the out-edges
-/// of the shared frontier's reachable vertices.
+/// Frontier-restricted edge scan: gathers into `buf` exactly the edges
+/// [`quick_upper_bound_graph_into`] keeps over the same tables, but scans
+/// only the out-edges of the shared frontier's reachable vertices instead
+/// of filtering all `m` edges of the input graph.
 ///
 /// `polarity` must be the tables produced by
 /// [`crate::polarity::compute_polarity_into_with_frontier`] with the same
 /// `frontier` — its arrival labels are a (clamped) subset of the frontier's,
 /// so every admissible edge leaves a frontier-reachable vertex and the
-/// restricted scan loses nothing. The result is identical to
-/// [`quick_upper_bound_graph_into`] over the same tables, but its cost is
-/// proportional to the frontier's out-degree sum rather than to `m` — the
-/// per-member win on large graphs whose query windows touch a sliver of the
-/// edge set.
+/// restricted scan loses nothing. Its cost is proportional to the
+/// frontier's out-degree sum rather than to `m` — the per-member win on
+/// large graphs whose query windows touch a sliver of the edge set.
 ///
-/// `buf` is the caller's reusable edge buffer (admitted edges are gathered
-/// grouped by source vertex, then handed to
-/// [`TemporalGraph::assign_from_edges`] for the in-place rebuild).
-pub fn quick_upper_bound_graph_into_with_frontier(
-    graph: &TemporalGraph,
-    polarity: &PolarityTimes,
-    frontier: &SourceFrontier,
-    buf: &mut Vec<TemporalEdge>,
-    out: &mut TemporalGraph,
-) {
-    frontier_candidate_edges(graph, polarity, frontier, buf);
-    out.assign_from_edges(graph.num_vertices(), buf);
-}
-
-/// The edge-gathering half of
-/// [`quick_upper_bound_graph_into_with_frontier`]: fills `buf` with the
-/// admitted edges (grouped by source vertex, unsorted) without building a
-/// graph — the engine compacts them to their induced vertex set first.
+/// `buf` is the caller's reusable edge buffer. The admitted edges arrive
+/// grouped by source vertex, unsorted, and no graph is built: the engine
+/// compacts them to their induced vertex set first.
 pub fn frontier_candidate_edges(
     graph: &TemporalGraph,
     polarity: &PolarityTimes,
@@ -167,7 +151,6 @@ mod tests {
         let mut buf = Vec::new();
         let mut scratch = PolarityScratch::default();
         let mut times = PolarityTimes::default();
-        let mut restricted = TemporalGraph::default();
         let mut full = TemporalGraph::default();
         for case in 0..25 {
             let n = rng.random_range(5..30);
@@ -197,17 +180,12 @@ mod tests {
                     &mut times,
                     &mut scratch,
                 );
-                quick_upper_bound_graph_into_with_frontier(
-                    &g,
-                    &times,
-                    &frontier,
-                    &mut buf,
-                    &mut restricted,
-                );
+                frontier_candidate_edges(&g, &times, &frontier, &mut buf);
                 quick_upper_bound_graph_into(&g, &times, &mut full);
+                assert_eq!(buf.len(), full.num_edges(), "case {case}: ({s}, {t}, {window})");
                 assert_eq!(
-                    restricted.edges(),
-                    full.edges(),
+                    EdgeSet::from_edges(buf.iter().copied()),
+                    EdgeSet::from_graph(&full),
                     "case {case}: restricted scan diverged for ({s}, {t}, {window})"
                 );
             }
@@ -224,7 +202,6 @@ mod tests {
         let frontier = SourceFrontier::compute(&g, s, w);
         let mut times = PolarityTimes::default();
         let mut buf = Vec::new();
-        let mut gq = TemporalGraph::default();
         compute_polarity_into_with_frontier(
             &g,
             s,
@@ -234,9 +211,9 @@ mod tests {
             &mut times,
             &mut PolarityScratch::default(),
         );
-        quick_upper_bound_graph_into_with_frontier(&g, &times, &frontier, &mut buf, &mut gq);
+        frontier_candidate_edges(&g, &times, &frontier, &mut buf);
         let avoiding = EdgeSet::from_graph(&quick_upper_bound_graph(&g, s, t, w));
-        assert!(avoiding.is_subset_of(&EdgeSet::from_graph(&gq)));
+        assert!(avoiding.is_subset_of(&EdgeSet::from_edges(buf.iter().copied())));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tspg-server <edge-list> --socket PATH [--admit-max N] [--admit-window-ms T]
-//!             [--quota N] [--threads N] [--cache-size N] [--no-cache]
+//!             [--quota N] [--threads N] [--cache-size N]
 //!             [--profile-cache-size N]
 //! ```
 //!
@@ -35,7 +35,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:\n  tspg-server <edge-list> --socket PATH [--admit-max N] \
                      [--admit-window-ms T]\n              [--quota N] [--threads N] \
-                     [--cache-size N] [--no-cache] [--profile-cache-size N]";
+                     [--cache-size N] [--profile-cache-size N]";
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
@@ -72,11 +72,11 @@ fn run(args: &[String]) -> Result<(), String> {
             return Err("--threads must be at least 1".to_string());
         }
     }
+    // 0 disables the result cache.
     let cache_entries: Option<usize> = match flags.get("cache-size") {
         Some(v) => Some(parse_number(v, "cache size")?),
         None => None,
     };
-    let no_cache = flags.contains_key("no-cache") || cache_entries == Some(0);
     // 0 disables cross-batch profile residency (within-batch sharing stays).
     let profile_cache_entries: Option<usize> = match flags.get("profile-cache-size") {
         Some(v) => Some(parse_number(v, "profile cache size")?),
@@ -91,10 +91,10 @@ fn run(args: &[String]) -> Result<(), String> {
         graph.num_edges()
     );
     let mut engine = QueryEngine::new(graph);
-    engine = match (no_cache, cache_entries) {
-        (true, _) => engine.without_cache(),
-        (false, Some(entries)) => engine.with_cache(CacheConfig::with_max_entries(entries)),
-        (false, None) => engine,
+    engine = match cache_entries {
+        Some(0) => engine.without_cache(),
+        Some(entries) => engine.with_cache(CacheConfig::with_max_entries(entries)),
+        None => engine,
     };
     engine = match profile_cache_entries {
         Some(0) => engine.without_profile_cache(),
@@ -133,10 +133,7 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            let value = match name {
-                "no-cache" => "true".to_string(),
-                _ => iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?,
-            };
+            let value = iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?;
             flags.insert(name.to_string(), value);
         } else {
             positional.push(arg.clone());

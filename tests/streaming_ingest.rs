@@ -5,7 +5,7 @@
 //! thread grid, with profile sharing on and off, with every cache warm.
 //! The deterministic tests drive the interleaving and an explicit
 //! stale-read attempt against each sharing layer (result LRU, published
-//! tspGs inside a batch, the epoch-keyed profile cache); the proptest pins
+//! tspGs inside a batch, the profile cache); the proptest pins
 //! the tentpole identity `extend_with_edges == from_edges` over random
 //! batch splits, including unsorted and duplicate-timestamp batches.
 
@@ -135,13 +135,13 @@ fn no_cache_layer_serves_a_pre_ingestion_answer() {
     assert_ne!(warm[0].tspg, post[0].tspg, "the delta edge must change the answer");
     assert!(post[0].tspg.contains_edge(s, t, 5), "the ingested edge belongs to the new tspG");
 
-    // The profile cache was not flushed — entries are epoch-keyed — so the
-    // old profiles are unreachable by construction and the new epoch pays
-    // fresh misses.
+    // The ingest flushed the profile cache along with the result cache, so
+    // no pre-ingestion profile is left to hit and the new epoch pays fresh
+    // misses.
     let profile_misses_after = engine.profile_cache_stats().expect("default profile cache").misses;
     assert!(
         profile_misses_after > profile_misses_before,
-        "epoch-scoped profile keys must miss after ingestion \
+        "flushed profiles must miss after ingestion \
          ({profile_misses_before} -> {profile_misses_after})"
     );
 }
