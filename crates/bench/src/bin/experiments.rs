@@ -33,9 +33,6 @@
 //!   --budget-ms N               per-query baseline budget    (default 2000)
 //!   --threads N                 batch/serving workers        (default 2)
 //!   --cache-size N              exp10 result-cache entries   (default 4096)
-//!   --json PATH                 also write every produced table to PATH as
-//!                               a `tspg-bench-tables/1` JSON document (the
-//!                               machine-readable bench trajectory)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +62,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut cfg = HarnessConfig::default();
     let mut threads: usize = 2;
     let mut cache_size: usize = 4096;
-    let mut json_path: Option<String> = None;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -114,9 +110,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     return Err("--cache-size must be at least 1".to_string());
                 }
             }
-            "--json" => {
-                json_path = Some(next_value(&mut iter, "--json")?);
-            }
             "--datasets" => {
                 cfg.datasets = next_value(&mut iter, "--datasets")?
                     .split(',')
@@ -139,13 +132,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let ubg_sweep_datasets = ["D9", "D10"];
     let eev_datasets = ["D1", "D8"];
 
-    // Every table is both printed and (with --json) collected for the
-    // machine-readable trajectory document.
-    let mut collected: Vec<Table> = Vec::new();
-    let mut print = |tables: Vec<Table>| {
+    let print = |tables: Vec<Table>| {
         for t in tables {
             println!("{}", t.render());
-            collected.push(t);
         }
     };
 
@@ -196,11 +185,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         other => return Err(format!("unknown subcommand {other:?}")),
     }
-    if let Some(path) = json_path {
-        std::fs::write(&path, tspg_bench::json::tables_to_json(&collected))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {} table(s) to {path}", collected.len());
-    }
     Ok(())
 }
 
@@ -216,7 +200,7 @@ fn print_help() {
         "experiments — reproduce the paper's tables and figures\n\n\
          usage: experiments [SUBCOMMAND] [--scale tiny|small|medium] [--queries N]\n\
                 [--datasets D1,D2,...] [--seed N] [--budget-ms N] [--threads N]\n\
-                [--cache-size N] [--json PATH]\n\n\
+                [--cache-size N]\n\n\
          subcommands: all (default), table1, exp1, exp2, exp3, exp4, table2,\n\
                       exp5, exp5-theta, exp6, exp7, exp8, batch, exp10, exp11,\n\
                       exp12, exp13, exp14, exp15"

@@ -19,7 +19,6 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod json;
 
 pub use harness::{
     Algorithm, AlgorithmOutcome, HarnessConfig, PreparedDataset, QueryOutcome, Table,

@@ -144,9 +144,12 @@ impl<'g> BidirSearcher<'g> {
         self.mark(u0);
         self.mark(v0);
 
-        // Optimization i: search the potentially longer half first.
+        // Optimization i: search the potentially longer half first. The
+        // budgets are compared in i128: at the ends of the timestamp range
+        // either difference may exceed i64.
         let forward_first = if self.options.prioritize_direction {
-            tau0 - self.window.begin() > self.window.end() - tau0
+            let (begin, end) = (i128::from(self.window.begin()), i128::from(self.window.end()));
+            i128::from(tau0) - begin > end - i128::from(tau0)
         } else {
             true
         };
@@ -225,7 +228,10 @@ impl<'g> BidirSearcher<'g> {
         let graph = self.graph;
         let (entries, reversed): (&[tspg_graph::AdjEntry], bool) = match half {
             Half::Forward => {
-                let Some(range) = TimeInterval::try_new(bound + 1, self.window.end()) else {
+                let Some(range) = bound
+                    .checked_add(1)
+                    .and_then(|next| TimeInterval::try_new(next, self.window.end()))
+                else {
                     return false;
                 };
                 // Optimization ii wants non-ascending timestamps here, i.e.
@@ -233,7 +239,10 @@ impl<'g> BidirSearcher<'g> {
                 (graph.out_neighbors_in(cur, range), self.options.order_neighbors)
             }
             Half::Backward => {
-                let Some(range) = TimeInterval::try_new(self.window.begin(), bound - 1) else {
+                let Some(range) = bound
+                    .checked_sub(1)
+                    .and_then(|previous| TimeInterval::try_new(self.window.begin(), previous))
+                else {
                     return false;
                 };
                 // Optimization ii wants non-descending timestamps here, i.e.

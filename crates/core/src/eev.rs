@@ -216,14 +216,18 @@ fn confirm_along_path(
     for (pos, &id) in path.iter().enumerate() {
         let edge = gt.edge(id);
         // Replacement bounds: strictly between the neighbouring edges'
-        // timestamps, or the window endpoints for the first / last position.
-        let lower = if pos == 0 { window.begin() - 1 } else { times[pos - 1] };
-        let upper = if pos + 1 == path.len() { window.end() + 1 } else { times[pos + 1] };
+        // timestamps, or inside the window at the first / last position
+        // (compared directly: `τ_b − 1` and `τ_e + 1` overflow at the ends
+        // of the timestamp range).
+        let after_previous =
+            |time| if pos == 0 { window.begin() <= time } else { times[pos - 1] < time };
+        let before_next =
+            |time| if pos + 1 == path.len() { time <= window.end() } else { time < times[pos + 1] };
         for entry in gt.out_neighbors(edge.src) {
             if entry.neighbor != edge.dst {
                 continue;
             }
-            if entry.time <= lower || entry.time >= upper {
+            if !after_previous(entry.time) || !before_next(entry.time) {
                 continue;
             }
             let pid = entry.edge as usize;

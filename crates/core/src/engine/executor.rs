@@ -38,7 +38,7 @@ use crate::polarity::ArrivalProfile;
 use crate::vug::{VugReport, VugResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use tspg_graph::{EdgeSet, TemporalEdge, TemporalGraph, VertexId};
+use tspg_graph::{EdgeSet, TemporalGraph, VertexId};
 
 /// The results of one executed [`PlanUnit`]: the unit query's own result
 /// plus one result per follower (parallel to `unit.followers`).
@@ -103,7 +103,7 @@ impl SharedTspg {
         match self {
             Self::Empty => VugResult { tspg: EdgeSet::new(), report: VugReport::default() },
             Self::Compact { graph, source, target, originals } => {
-                let result = generate_tspg_scratch(
+                let mut result = generate_tspg_scratch(
                     graph,
                     *source,
                     *target,
@@ -111,10 +111,8 @@ impl SharedTspg {
                     engine.config(),
                     s,
                 );
-                let tspg = EdgeSet::from_edges(result.tspg.edges().iter().map(|e| {
-                    TemporalEdge::new(originals[e.src as usize], originals[e.dst as usize], e.time)
-                }));
-                VugResult { tspg, report: result.report }
+                result.tspg.uncompact(originals);
+                result
             }
         }
     }

@@ -52,10 +52,9 @@ pub mod planner;
 
 use crate::eev::{escaped_edges_verification_scratch, EevScratch};
 use crate::polarity::{
-    compute_polarity_into, compute_polarity_into_with_frontier, ArrivalProfile, PolarityScratch,
-    PolarityTimes, SourceFrontier,
+    relabel_polarity_into, ArrivalProfile, PolarityScratch, PolarityTimes, SourceFrontier,
 };
-use crate::quick_ubg::quick_upper_bound_graph_into;
+use crate::quick_ubg::candidate_edges_into;
 use crate::tcv::TcvTables;
 use crate::tight_ubg::tight_upper_bound_graph_into;
 use crate::vug::{VugConfig, VugReport, VugResult};
@@ -65,7 +64,9 @@ use cache::{
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tspg_graph::{EdgeSet, GraphEpoch, TemporalEdge, TemporalGraph, TimeInterval, VertexId};
+use tspg_graph::{
+    EdgeId, EdgeSet, GraphEpoch, TemporalEdge, TemporalGraph, TimeInterval, Timestamp, VertexId,
+};
 
 /// One `(s, t, [τ_b, τ_e])` query of a batch.
 ///
@@ -75,27 +76,39 @@ use tspg_graph::{EdgeSet, GraphEpoch, TemporalEdge, TemporalGraph, TimeInterval,
 pub use tspg_graph::Query as QuerySpec;
 
 /// Per-worker reusable working state of the whole VUG pipeline: polarity
-/// labels and their BFS state, the storage of `G_q` and `G_t`, the TCV
-/// tables (with their set-buffer pool) and the EEV scratch (edge flags,
+/// labels and their BFS state, the gathered and compacted `G_q`, `G_t`, the
+/// TCV tables (with their set-buffer pool) and the EEV scratch (edge flags,
 /// witness-path buffers, bidirectional-DFS stacks and visited bitmap).
 ///
+/// One scratch serves graphs of every size in turn — the engine's graph,
+/// compact follower tspGs, profile candidates — and no run pays for the
+/// largest graph it has seen: the tables indexed by the input graph's
+/// vertex ids (polarity labels, the compaction map) only grow and are reset
+/// entry by entry, and everything past them is sized by the compact `G_q`.
 /// The first query warms the buffers up; afterwards answering a query
 /// allocates nothing but its result.
 #[derive(Clone, Debug, Default)]
 pub struct QueryScratch {
     polarity: PolarityTimes,
     polarity_scratch: PolarityScratch,
+    /// Ids of the gathered candidate edges, ascending.
+    edge_ids: Vec<EdgeId>,
+    /// The gathered edges renumbered to compact ids.
+    edge_buf: Vec<TemporalEdge>,
+    compactor: Compactor,
+    /// Compact-to-original vertex map of the direct run's `G_q`.
+    originals: Vec<VertexId>,
     gq: TemporalGraph,
     gt: TemporalGraph,
     tcv: TcvTables,
     eev: EevScratch,
-    /// Edge buffer of the frontier-restricted candidate scan.
-    edge_buf: Vec<TemporalEdge>,
-    /// Compact-to-original vertex map of the frontier run's candidate.
-    originals: Vec<VertexId>,
-    /// Storage of the frontier run's candidate subgraph `H` (the restricted
-    /// scan's output, compacted, which the exact pipeline then runs on).
+    /// Vertex marks for counting the answer's vertices.
+    marks: Vec<bool>,
+    /// Storage of a profile run's candidate subgraph `H`, compacted (the
+    /// input graph the exact pipeline then reruns on).
     candidate: TemporalGraph,
+    /// Compact-to-original vertex map of `H`.
+    candidate_originals: Vec<VertexId>,
     /// Frontier storage a profile run clamps into (so materializing a
     /// member's frontier from a shared [`ArrivalProfile`] allocates nothing
     /// in steady state).
@@ -109,11 +122,87 @@ impl QueryScratch {
     }
 }
 
+/// Stamped original-to-compact vertex map: renumbers a gathered edge list
+/// to the `k` vertices it touches in `O(edges + k log k)`, without clearing
+/// anything sized by the graph the edges came from (a generation stamp
+/// marks the current compaction's vertices).
+///
+/// Compact ids follow ascending original ids, so the compact graph is an
+/// order-preserving image of the gathered subgraph: the same edge order,
+/// the same adjacency order, and so the same TCV scans, EEV seeds and DFS
+/// order — byte-identical reports — and the answer maps back in place
+/// without a re-sort ([`EdgeSet::uncompact`]).
+#[derive(Clone, Debug, Default)]
+struct Compactor {
+    /// `stamps[v] == generation` iff `v` belongs to the current compaction.
+    stamps: Vec<u32>,
+    /// Compact id of each vertex of the current compaction.
+    ids: Vec<VertexId>,
+    generation: u32,
+}
+
+impl Compactor {
+    /// Writes `graph`'s edges `edge_ids` (ascending) into `out` over compact
+    /// ids and the compact-to-original map into `originals`. Returns the
+    /// compact ids of `s` and `t`, or `None` when either touches no edge
+    /// (then `originals` still lists the touched vertices, unordered).
+    fn compact_into(
+        &mut self,
+        graph: &TemporalGraph,
+        edge_ids: &[EdgeId],
+        (s, t): (VertexId, VertexId),
+        out: &mut Vec<TemporalEdge>,
+        originals: &mut Vec<VertexId>,
+    ) -> Option<(VertexId, VertexId)> {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        let n = graph.num_vertices();
+        if self.stamps.len() < n {
+            self.stamps.resize(n, 0);
+            self.ids.resize(n, 0);
+        }
+        originals.clear();
+        out.clear();
+        for &id in edge_ids {
+            let edge = graph.edge(id);
+            for v in [edge.src, edge.dst] {
+                if self.stamps[v as usize] != self.generation {
+                    self.stamps[v as usize] = self.generation;
+                    originals.push(v);
+                }
+            }
+        }
+        let member = |v: VertexId| self.stamps.get(v as usize) == Some(&self.generation);
+        if !member(s) || !member(t) {
+            return None;
+        }
+        originals.sort_unstable();
+        for (compact, &v) in originals.iter().enumerate() {
+            self.ids[v as usize] = compact as VertexId;
+        }
+        out.extend(edge_ids.iter().map(|&id| {
+            let edge = graph.edge(id);
+            TemporalEdge::new(self.ids[edge.src as usize], self.ids[edge.dst as usize], edge.time)
+        }));
+        Some((self.ids[s as usize], self.ids[t as usize]))
+    }
+}
+
 /// Runs the full VUG pipeline for one query out of `scratch`.
 ///
 /// This is the single implementation of Algorithm 1; the one-shot
 /// [`crate::generate_tspg_with`] is a thin wrapper that passes a cold
-/// scratch.
+/// scratch. The run is output-sensitive: the polarity labels reset in
+/// `O(touched)`, `G_q` is gathered from the out-edges of the
+/// forward-labelled vertices only, and TightUBG and EEV run on `G_q`
+/// compacted to its own vertices, so a warm run costs its `G_q`'s
+/// neighbourhood rather than `|V| + |E|`. The answer — and every report
+/// counter but `approx_bytes`, which counts the compact working state — is
+/// byte-identical to the public full-graph phase functions chained
+/// together.
 pub(crate) fn generate_tspg_scratch(
     graph: &TemporalGraph,
     s: VertexId,
@@ -130,37 +219,56 @@ pub(crate) fn generate_tspg_scratch(
         return VugResult { tspg: EdgeSet::new(), report };
     }
 
-    // Phase 1: QuickUBG (Algorithms 2 + 3).
+    // Phase 1: QuickUBG (Algorithms 2 + 3), gathered and compacted.
     let started = Instant::now();
-    compute_polarity_into(
+    relabel_polarity_into(
         graph,
         s,
         t,
         window,
+        None,
         &mut scratch.polarity,
         &mut scratch.polarity_scratch,
     );
-    quick_upper_bound_graph_into(graph, &scratch.polarity, &mut scratch.gq);
-    finish_pipeline(s, t, window, config, scratch, report, started)
+    let mut originals = std::mem::take(&mut scratch.originals);
+    let endpoints = gather_compact_into(graph, (s, t), scratch, &mut originals);
+    let result = match endpoints {
+        Some((cs, ct)) => {
+            scratch.gq.assign_from_edges(originals.len(), &scratch.edge_buf);
+            let mut result = finish_pipeline(cs, ct, window, config, scratch, report, started);
+            result.tspg.uncompact(&originals);
+            result
+        }
+        // An empty `G_q`: no admitted edge, so no tspG edge.
+        None => {
+            let mut report = report;
+            report.quick_elapsed = started.elapsed();
+            report.approx_bytes = label_bytes(scratch);
+            VugResult { tspg: EdgeSet::new(), report }
+        }
+    };
+    scratch.originals = originals;
+    result
 }
 
 /// Frontier-sharing variant of [`generate_tspg_scratch`].
 ///
 /// Phase 1's forward labels are restricted from the group's shared
-/// [`SourceFrontier`] (an `O(n)` clamp instead of a forward BFS) and a
-/// **candidate subgraph** `H` is built by scanning only the frontier's
-/// reachable out-edges (no `O(m)` filter). Because the shared forward pass
-/// does not avoid the query's target, `H` is a *superset* of the unshared
-/// pipeline's `G_q` — and the EEV rule confirmations (Lemmas 2 and 10) are
-/// only sound under `G_q`'s avoid-`t`/avoid-`s` polarity invariants, so the
-/// pipeline cannot run on `H`'s labels directly. Instead the standard exact
-/// pipeline is re-run **on `H` as the input graph**: `tspG(G) ⊆ G_q(G) ⊆ H
-/// ⊆ G` means `H` contains every temporal simple path of the query and adds
-/// none, so `tspG(H) = tspG(G)` byte for byte — the same Definition-2
-/// argument that answers followers from a covering tspG. `H` is
-/// `G_q`-sized, so the rerun costs a sliver of the full-graph pass it
-/// replaces; only the intermediate `quick_edges` / `tight_edges` report
-/// counters may differ from an unshared run (they describe `H`'s bounds).
+/// [`SourceFrontier`] (a copy of its reachable labels instead of a forward
+/// BFS) and a **candidate subgraph** `H` is gathered from the out-edges of
+/// the frontier's labelled vertices by the same scan and compaction as a
+/// direct run. Because the shared forward pass does not avoid the query's
+/// target, `H` is a *superset* of the direct run's `G_q` — and the EEV rule
+/// confirmations (Lemmas 2 and 10) are only sound under `G_q`'s
+/// avoid-`t`/avoid-`s` polarity invariants, so the pipeline cannot run on
+/// `H`'s labels directly. Instead the direct pipeline is re-run **on the
+/// compact `H` as the input graph**: `tspG(G) ⊆ G_q(G) ⊆ H ⊆ G` means `H`
+/// contains every temporal simple path of the query and adds none, so
+/// `tspG(H) = tspG(G)` byte for byte — the same Definition-2 argument that
+/// answers followers from a covering tspG. `H` is `G_q`-sized, so the rerun
+/// costs a sliver of the forward BFS the shared pass saves; only the
+/// intermediate `quick_edges` / `tight_edges` report counters may differ
+/// from a direct run (they describe `H`'s bounds).
 pub(crate) fn generate_tspg_frontier_scratch(
     graph: &TemporalGraph,
     query: QuerySpec,
@@ -174,73 +282,76 @@ pub(crate) fn generate_tspg_frontier_scratch(
     }
     let (s, t, window) = (query.source, query.target, query.window);
     let started = Instant::now();
-    compute_polarity_into_with_frontier(
+    relabel_polarity_into(
         graph,
         s,
         t,
         window,
-        frontier,
+        Some(frontier),
         &mut scratch.polarity,
         &mut scratch.polarity_scratch,
     );
-    crate::quick_ubg::frontier_candidate_edges(
-        graph,
-        &scratch.polarity,
-        frontier,
-        &mut scratch.edge_buf,
-    );
-
-    // Compact `H` to its induced vertex set before the rerun: the inner
-    // pipeline's working state (polarity labels, queued flags, EEV tables)
-    // scales with its input's vertex count, so running it in the parent
-    // graph's id space would keep every member run `O(|V|)` of the full
-    // graph — the same insight as the follower tspG compaction.
-    let originals = &mut scratch.originals;
-    originals.clear();
-    originals.extend(scratch.edge_buf.iter().flat_map(|e| [e.src, e.dst]));
-    originals.sort_unstable();
-    originals.dedup();
-    let (Some(cs), Some(ct)) = (originals.binary_search(&s).ok(), originals.binary_search(&t).ok())
-    else {
+    // Take `H`'s storage and id map out of the scratch so the inner run
+    // below can borrow the scratch mutably.
+    let mut originals = std::mem::take(&mut scratch.candidate_originals);
+    let Some((cs, ct)) = gather_compact_into(graph, (s, t), scratch, &mut originals) else {
         // An endpoint touches no candidate edge: no admitted edge enters
         // `t` (or leaves `s`), so the tspG is empty — exactly what the
         // direct pipeline concludes from its empty `G_q`.
+        scratch.candidate_originals = originals;
         let mut report = report;
         report.quick_elapsed = started.elapsed();
         return VugResult { tspg: EdgeSet::new(), report };
     };
-    for e in scratch.edge_buf.iter_mut() {
-        e.src = originals.binary_search(&e.src).expect("endpoint collected") as VertexId;
-        e.dst = originals.binary_search(&e.dst).expect("endpoint collected") as VertexId;
-    }
-    // Take the candidate's storage (and the id map) out of the scratch so
-    // the inner pipeline run below can borrow the scratch mutably.
     let mut candidate = std::mem::take(&mut scratch.candidate);
-    let originals = std::mem::take(&mut scratch.originals);
     candidate.assign_from_edges(originals.len(), &scratch.edge_buf);
     let restrict_elapsed = started.elapsed();
-    let inner =
-        generate_tspg_scratch(&candidate, cs as VertexId, ct as VertexId, window, config, scratch);
-    let tspg =
-        // tspg-lint: allow(hot-alloc-transitive) — answer materialization: the returned tspG (remapped to original ids) must own its edges beyond the scratch's lifetime
-        EdgeSet::from_edges(inner.tspg.edges().iter().map(|e| {
-            TemporalEdge::new(originals[e.src as usize], originals[e.dst as usize], e.time)
-        }));
+    let mut inner = generate_tspg_scratch(&candidate, cs, ct, window, config, scratch);
+    inner.tspg.uncompact(&originals);
     scratch.candidate = candidate;
-    scratch.originals = originals;
+    scratch.candidate_originals = originals;
     // The slot's report describes the work of *this* run: the batch query
     // was answered against the full graph (via its candidate), its phase-1
     // time includes building the candidate, and `quick_edges` /
     // `tight_edges` describe the candidate's bounds.
-    let mut report = inner.report;
-    report.input_edges = graph.num_edges();
-    report.quick_elapsed += restrict_elapsed;
-    VugResult { tspg, report }
+    inner.report.input_edges = graph.num_edges();
+    inner.report.quick_elapsed += restrict_elapsed;
+    inner
 }
 
-/// Phases 2–3 of the pipeline, shared by the direct and frontier-sharing
-/// phase-1 variants: the caller has filled `scratch.polarity` and
-/// `scratch.gq` and started the phase-1 timer.
+/// The scan and compaction both phase-1 variants share: gathers the edges
+/// the current labels admit ([`candidate_edges_into`]) and compacts them
+/// into `scratch.edge_buf`, filling `originals`. Returns the compact ids of
+/// `s` and `t`, or `None` when the gathered subgraph cannot hold an answer.
+fn gather_compact_into(
+    graph: &TemporalGraph,
+    endpoints: (VertexId, VertexId),
+    scratch: &mut QueryScratch,
+    originals: &mut Vec<VertexId>,
+) -> Option<(VertexId, VertexId)> {
+    candidate_edges_into(
+        graph,
+        &scratch.polarity,
+        scratch.polarity_scratch.reached(),
+        &mut scratch.edge_ids,
+    );
+    scratch.compactor.compact_into(
+        graph,
+        &scratch.edge_ids,
+        endpoints,
+        &mut scratch.edge_buf,
+        originals,
+    )
+}
+
+/// Bytes of the polarity labels the run wrote (the tables themselves are
+/// shared by every run of the scratch).
+fn label_bytes(scratch: &QueryScratch) -> usize {
+    scratch.polarity_scratch.labelled() * std::mem::size_of::<Option<Timestamp>>()
+}
+
+/// Phases 2–3 of the pipeline on the compact `G_q`: the caller has built
+/// `scratch.gq` (whose ids `s` and `t` are) and started the phase-1 timer.
 fn finish_pipeline(
     s: VertexId,
     t: VertexId,
@@ -252,7 +363,7 @@ fn finish_pipeline(
 ) -> VugResult {
     report.quick_elapsed = started.elapsed();
     report.quick_edges = scratch.gq.num_edges();
-    let mut approx_bytes = scratch.polarity.approx_bytes() + scratch.gq.approx_bytes();
+    let mut approx_bytes = label_bytes(scratch) + scratch.gq.approx_bytes();
 
     // Phase 2: TightUBG (Algorithms 4 + 5). The ablation path hands `G_q`
     // itself to EEV by reference — no deep copy.
@@ -283,11 +394,30 @@ fn finish_pipeline(
     report.eev_elapsed = started.elapsed();
     report.eev = outcome.stats;
     report.result_edges = outcome.tspg.num_edges();
-    report.result_vertices = outcome.tspg.num_vertices();
+    report.result_vertices = count_vertices(&outcome.tspg, gt.num_vertices(), &mut scratch.marks);
     approx_bytes += outcome.tspg.approx_bytes();
     report.approx_bytes = approx_bytes;
 
     VugResult { tspg: outcome.tspg, report }
+}
+
+/// Distinct endpoints of an edge set over vertex ids below `n`, counted
+/// with a reusable mark table (all `false` between calls).
+fn count_vertices(tspg: &EdgeSet, n: usize, marks: &mut Vec<bool>) -> usize {
+    if marks.len() < n {
+        marks.resize(n, false);
+    }
+    let mut count = 0;
+    for e in tspg.edges() {
+        for v in [e.src, e.dst] {
+            count += usize::from(!std::mem::replace(&mut marks[v as usize], true));
+        }
+    }
+    for e in tspg.edges() {
+        marks[e.src as usize] = false;
+        marks[e.dst as usize] = false;
+    }
+    count
 }
 
 /// How one batch was answered: the counters of the plan → execute →
@@ -447,10 +577,11 @@ pub struct QueryEngine {
     config: VugConfig,
     /// Warm scratch arenas recovered from finished batch workers.
     scratch_pool: std::sync::Mutex<Vec<QueryScratch>>,
-    /// Upper bound on retained scratches. Each warm scratch pins two
-    /// graph-sized subgraph buffers plus TCV tables, so the pool is capped
-    /// at the number of workers the hardware can actually run concurrently
-    /// — scratches returned beyond the cap are simply dropped.
+    /// Upper bound on retained scratches. Each warm scratch pins polarity
+    /// labels and a compaction map sized by the largest graph it served,
+    /// plus compact-`G_q`-sized buffers, so the pool is capped at the
+    /// number of workers the hardware can actually run concurrently —
+    /// scratches returned beyond the cap are simply dropped.
     pool_cap: usize,
     /// Memoized `(s, t, window) → VugResult`; `None` when caching is off.
     cache: Option<ResultCache>,
@@ -675,11 +806,12 @@ impl QueryEngine {
             generate_tspg_frontier_scratch(&self.graph, query, &frontier, &self.config, scratch);
         scratch.frontier = frontier;
         // Feed the profile-density heuristic with the clamp's superset
-        // ratio: `scratch.originals` holds the candidate H's vertex list
-        // after every non-degenerate run (the degenerate early-return
-        // leaves it stale, so skip it).
+        // ratio: `scratch.candidate_originals` holds the candidate H's
+        // vertex list after every non-degenerate run (the degenerate
+        // early-return leaves it stale, so skip it).
         if !query.is_degenerate() {
-            self.profile_density.record(scratch.originals.len(), self.graph.num_vertices());
+            self.profile_density
+                .record(scratch.candidate_originals.len(), self.graph.num_vertices());
         }
         result
     }
@@ -1339,11 +1471,13 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xbadc0de);
+        // One scratch across every run kind, interleaved: direct runs,
+        // profile runs, runs on a smaller compact graph, and runs after an
+        // ingest that grows the vertex range. Stale labels or compaction
+        // stamps left behind by one kind would show up in the next.
         let mut scratch = QueryScratch::new();
-        for case in 0..40 {
-            let n: u32 = rng.random_range(4..14);
-            let m = rng.random_range(8..90);
-            let edges: Vec<TemporalEdge> = (0..m)
+        let random_edges = |rng: &mut StdRng, n: u32, m: usize| -> Vec<TemporalEdge> {
+            (0..m)
                 .map(|_| {
                     TemporalEdge::new(
                         rng.random_range(0..n),
@@ -1352,19 +1486,150 @@ mod tests {
                     )
                 })
                 .filter(|e| e.src != e.dst)
-                .collect();
-            let g = TemporalGraph::from_edges(n as usize, edges);
-            let engine = QueryEngine::new(g.clone());
-            // Re-use one scratch across *different* graphs to stress the
-            // buffer recycling paths.
-            for _ in 0..4 {
-                let s = rng.random_range(0..n);
-                let t = rng.random_range(0..n);
-                let w = TimeInterval::new(rng.random_range(1..4), rng.random_range(4..12));
-                let got = engine.run(QuerySpec::new(s, t, w), &mut scratch);
-                let expected = generate_tspg(&g, s, t, w);
-                assert_eq!(got.tspg, expected.tspg, "case {case} ({s}->{t} {w})");
+                .collect()
+        };
+        for case in 0..40 {
+            let n: u32 = rng.random_range(4..14);
+            let m = rng.random_range(8..90);
+            let edges = random_edges(&mut rng, n, m);
+            let mut engine = QueryEngine::new(TemporalGraph::from_edges(n as usize, edges));
+            for round in 0..3 {
+                let g = engine.graph().clone();
+                let n = g.num_vertices() as u32;
+                let hull = TimeInterval::new(1, 11);
+                for step in 0..6 {
+                    let s = rng.random_range(0..n);
+                    let t = rng.random_range(0..n);
+                    let w = TimeInterval::new(rng.random_range(1..4), rng.random_range(4..12));
+                    let q = QuerySpec::new(s, t, w);
+                    let expected = generate_tspg(&g, s, t, w);
+                    let got = match step % 3 {
+                        0 => engine.run(q, &mut scratch),
+                        1 => {
+                            let profile = ArrivalProfile::compute(&g, s, hull);
+                            engine.run_with_profile(q, &profile, &mut scratch)
+                        }
+                        _ => {
+                            // A compact graph of a handful of vertices: its
+                            // tspG answered in compact ids, then mapped back.
+                            let (compact, originals) = EdgeSet::from_graph(&g).to_compact_graph();
+                            let small = QueryEngine::new(compact);
+                            let position = |v| originals.binary_search(&v).ok();
+                            let mut got = match (position(s), position(t)) {
+                                (Some(cs), Some(ct)) => small.run(
+                                    QuerySpec::new(cs as VertexId, ct as VertexId, w),
+                                    &mut scratch,
+                                ),
+                                _ => generate_tspg(&TemporalGraph::empty(0), 0, 1, w),
+                            };
+                            got.tspg.uncompact(&originals);
+                            got
+                        }
+                    };
+                    let where_ = format!("case {case} round {round} step {step} ({q})");
+                    assert_eq!(got.tspg, expected.tspg, "{where_}");
+                    assert_eq!(got.report.result_vertices, expected.report.result_vertices);
+                }
+                // Grow the vertex range by up to three fresh vertices.
+                let grown = n + rng.random_range(1..4);
+                let delta = random_edges(&mut rng, grown, 12);
+                engine.ingest(&delta);
+                let mut union = g.edges().to_vec();
+                union.extend_from_slice(&delta);
+                let fresh = TemporalGraph::from_edges(g.num_vertices(), union);
+                assert_eq!(engine.graph().edges(), fresh.edges(), "case {case} round {round}");
             }
+        }
+    }
+
+    #[test]
+    fn a_direct_run_costs_its_gq_and_not_the_graph() {
+        // Figure 1 plus 100,000 isolated vertices: every working table past
+        // the polarity labels must be sized by G_q, not by the graph.
+        let (s, t, w) = figure1_query();
+        let isolated = 100_000;
+        let g = TemporalGraph::from_edges(
+            figure1_graph().num_vertices() + isolated,
+            figure1_graph().edges().to_vec(),
+        );
+        let engine = QueryEngine::new(g.clone());
+        let mut scratch = QueryScratch::new();
+        let got = engine.run(QuerySpec::new(s, t, w), &mut scratch);
+        assert_eq!(
+            got.tspg,
+            EdgeSet::from_edges(tspg_graph::fixtures::figure1_expected_tspg_edges())
+        );
+        let gq_vertices =
+            crate::quick_ubg::quick_upper_bound_graph(&g, s, t, w).non_isolated_vertices().len();
+        assert!(
+            scratch.gq.num_vertices() <= gq_vertices + 2,
+            "G_q holds {}",
+            scratch.gq.num_vertices()
+        );
+        assert!(
+            scratch.gt.num_vertices() <= gq_vertices + 2,
+            "G_t holds {}",
+            scratch.gt.num_vertices()
+        );
+        assert_eq!(got.report.quick_edges, 8, "Fig. 3(c)");
+        assert_eq!(got.report.tight_edges, 5, "Fig. 4(c)");
+    }
+
+    /// The answer over `g` through every engine path — one-shot, a direct
+    /// warm run, a profile run, a batch — checked against `expected`.
+    fn assert_every_path_answers(g: &TemporalGraph, q: QuerySpec, expected: &EdgeSet) {
+        let one_shot = generate_tspg(g, q.source, q.target, q.window);
+        assert_eq!(&one_shot.tspg, expected, "one-shot {q}");
+        let engine = QueryEngine::new(g.clone());
+        let mut scratch = QueryScratch::new();
+        assert_eq!(&engine.run(q, &mut scratch).tspg, expected, "direct {q}");
+        let profile = ArrivalProfile::compute(g, q.source, q.window);
+        assert_eq!(
+            &engine.run_with_profile(q, &profile, &mut scratch).tspg,
+            expected,
+            "profile {q}"
+        );
+        let fanout = [q, QuerySpec::new(q.source, q.source + 1, q.window), q];
+        assert_eq!(&engine.run_batch(&fanout, 2)[0].tspg, expected, "batch {q}");
+    }
+
+    #[test]
+    fn windows_at_the_ends_of_the_timestamp_range_answer_figure_1c() {
+        let g = figure1_graph();
+        let (s, t, _) = figure1_query();
+        let expected = EdgeSet::from_edges(tspg_graph::fixtures::figure1_expected_tspg_edges());
+        for window in [
+            TimeInterval::new(0, i64::MAX),
+            TimeInterval::new(i64::MIN, 100),
+            TimeInterval::new(i64::MIN, i64::MAX),
+        ] {
+            assert_every_path_answers(&g, QuerySpec::new(s, t, window), &expected);
+        }
+    }
+
+    #[test]
+    fn edges_stamped_at_the_ends_of_the_timestamp_range_are_answered() {
+        let path = |times: [i64; 5]| {
+            let [a, b, c, d, e] = times;
+            vec![
+                TemporalEdge::new(0, 1, a),
+                TemporalEdge::new(1, 2, b),
+                TemporalEdge::new(1, 2, c),
+                TemporalEdge::new(2, 3, d),
+                TemporalEdge::new(0, 2, e),
+            ]
+        };
+        for (edges, window) in [
+            (path([5, 6, 7, i64::MAX, 3]), TimeInterval::new(0, i64::MAX)),
+            (path([i64::MIN, -7, -6, -5, -9]), TimeInterval::new(i64::MIN, 0)),
+        ] {
+            let g = TemporalGraph::from_edges(4, edges.clone());
+            // Every edge lies on a temporal simple 0 -> 3 path.
+            assert_every_path_answers(
+                &g,
+                QuerySpec::new(0, 3, window),
+                &EdgeSet::from_edges(edges),
+            );
         }
     }
 }

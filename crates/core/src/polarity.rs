@@ -11,9 +11,16 @@
 //!
 //! Unreachable vertices keep `None` (the paper's `+∞` / `−∞`).
 //!
+//! At the ends of the timestamp range the sentinels saturate (`A(s)` of a
+//! window beginning at `i64::MIN` is `i64::MIN`), so no comparison ever
+//! reads them: edges leaving `s` or entering `t` are tested against the
+//! window itself.
+//!
 //! The computation is a label-correcting BFS over time-sorted adjacency —
 //! `O(n + m)` — and is the reason `QuickUBG` beats the Dijkstra-based
-//! `tgTSG` by the `O(log n)` factor examined in Exp-5 / Fig. 9.
+//! `tgTSG` by the `O(log n)` factor examined in Exp-5 / Fig. 9. The
+//! engine's in-place variant resets only the labels its previous run wrote,
+//! so a warm run costs the part of the graph its two passes reach.
 
 use std::collections::VecDeque;
 use tspg_graph::{TemporalGraph, TimeInterval, Timestamp, VertexId};
@@ -25,6 +32,9 @@ pub struct PolarityTimes {
     pub arrival: Vec<Option<Timestamp>>,
     /// `D(u)` per vertex; `None` encodes `−∞` (cannot reach `t`).
     pub departure: Vec<Option<Timestamp>>,
+    /// The `(s, t, window)` the labels were computed for; `None` on
+    /// default tables, which admit no edge.
+    query: Option<(VertexId, VertexId, TimeInterval)>,
 }
 
 impl PolarityTimes {
@@ -42,27 +52,52 @@ impl PolarityTimes {
 
     /// Lemma 1: `true` iff the edge `e(u, v, τ)` lies on some strict temporal
     /// path from the source to the target within the window.
+    ///
+    /// `A(u) < τ < D(v)`, with the window standing in for the sentinels of
+    /// `s` and `t` (see the module docs).
     #[inline]
     pub fn admits_edge(&self, u: VertexId, v: VertexId, time: Timestamp) -> bool {
-        matches!(
-            (self.arrival(u), self.departure(v)),
-            (Some(a), Some(d)) if a < time && time < d
-        )
+        let Some((s, t, window)) = self.query else { return false };
+        window.contains(time)
+            && self.arrival(u).is_some_and(|a| u == s || a < time)
+            && self.departure(v).is_some_and(|d| v == t || time < d)
     }
 
-    /// Rough heap usage of the two label arrays.
-    pub fn approx_bytes(&self) -> usize {
-        (self.arrival.len() + self.departure.len()) * std::mem::size_of::<Option<Timestamp>>()
+    /// The `(s, t, window)` the labels answer, if any were computed.
+    pub(crate) fn query(&self) -> Option<(VertexId, VertexId, TimeInterval)> {
+        self.query
     }
 }
 
-/// Reusable traversal state of [`compute_polarity_into`]: the BFS queue and
-/// the in-queue flags. One instance per worker amortises both allocations
-/// across a whole batch of queries.
+/// Reusable traversal state of [`compute_polarity_into`]: the BFS queue,
+/// the in-queue flags, and the lists of vertices each pass labelled. One
+/// instance per worker amortises every allocation across a whole batch of
+/// queries.
 #[derive(Clone, Debug, Default)]
 pub struct PolarityScratch {
     queue: VecDeque<VertexId>,
+    /// In-queue flags; all `false` between passes (a pass drains its queue).
     queued: Vec<bool>,
+    /// Vertices the last forward labelling gave an arrival (the reset list
+    /// of the next relabelling, and the `G_q` gather's scan list).
+    reached: Vec<VertexId>,
+    /// Vertices the last backward pass gave a departure.
+    reaching: Vec<VertexId>,
+}
+
+impl PolarityScratch {
+    /// Vertices carrying an arrival label after the last labelling: the
+    /// scan list of the `G_q` gather
+    /// ([`crate::quick_ubg::candidate_edges_into`]).
+    pub(crate) fn reached(&self) -> &[VertexId] {
+        &self.reached
+    }
+
+    /// Number of labels the last labelling wrote (arrivals plus
+    /// departures).
+    pub(crate) fn labelled(&self) -> usize {
+        self.reached.len() + self.reaching.len()
+    }
 }
 
 /// Computes `A(u)` and `D(u)` for every vertex (Algorithm 3).
@@ -80,8 +115,8 @@ pub fn compute_polarity(
 }
 
 /// In-place variant of [`compute_polarity`]: writes the labels into `times`
-/// and runs the two BFS passes out of `scratch`, so a warm caller performs
-/// no allocation.
+/// (sized to exactly the graph's vertex count) and runs the two BFS passes
+/// out of `scratch`, so a warm caller performs no allocation.
 pub fn compute_polarity_into(
     graph: &TemporalGraph,
     s: VertexId,
@@ -90,21 +125,91 @@ pub fn compute_polarity_into(
     times: &mut PolarityTimes,
     scratch: &mut PolarityScratch,
 ) {
-    let n = graph.num_vertices();
+    // The caller may hand in tables of any history: empty them, so the
+    // relabelling below sizes them to exactly this graph.
+    scratch.reached.clear();
+    scratch.reaching.clear();
     times.arrival.clear();
-    times.arrival.resize(n, None);
     times.departure.clear();
-    times.departure.resize(n, None);
+    relabel_polarity_into(graph, s, t, window, None, times, scratch);
+}
+
+/// The engine's in-place labelling: resets only the labels the previous
+/// labelling out of the same `times` and `scratch` wrote, grows the tables
+/// (never shrinks them) to cover `graph`, and labels the query.
+///
+/// The forward half is a BFS, or — given a shared [`SourceFrontier`] — a
+/// copy of the frontier's reachable labels, keeping `A₀(u)` iff
+/// `A₀(u) ≤ window.end()`: exact for the frontier's begin (see
+/// [`SourceFrontier`]). Such tables admit a superset of the BFS tables'
+/// edges (the frontier does not avoid the target), which the engine
+/// reduces to the identical tspG by re-running the pipeline on them.
+///
+/// The tables may stay longer than `graph`'s vertex count (one scratch
+/// serves graphs of every size in turn); every entry past the ones this
+/// call labelled is `None`, and an out-of-range endpoint leaves every
+/// label `None`.
+///
+/// # Panics
+///
+/// Panics if a given frontier does not cover `(s, window)`.
+pub(crate) fn relabel_polarity_into(
+    graph: &TemporalGraph,
+    s: VertexId,
+    t: VertexId,
+    window: TimeInterval,
+    frontier: Option<&SourceFrontier>,
+    times: &mut PolarityTimes,
+    scratch: &mut PolarityScratch,
+) {
+    for &v in &scratch.reached {
+        times.arrival[v as usize] = None;
+    }
+    for &v in &scratch.reaching {
+        times.departure[v as usize] = None;
+    }
+    scratch.reached.clear();
+    scratch.reaching.clear();
+    let n = graph.num_vertices();
+    for table in [&mut times.arrival, &mut times.departure] {
+        if table.len() < n {
+            table.resize(n, None);
+        }
+    }
+    if scratch.queued.len() < n {
+        scratch.queued.resize(n, false);
+    }
+    times.query = Some((s, t, window));
+    if let Some(frontier) = frontier {
+        assert!(
+            frontier.covers(s, window),
+            "frontier over {} from vertex {} cannot answer ({s}, {t}, {window})",
+            frontier.window,
+            frontier.source,
+        );
+    }
     if (s as usize) >= n || (t as usize) >= n {
         return;
     }
-    forward_pass(graph, s, Some(t), window, &mut times.arrival, scratch);
+    match frontier {
+        Some(frontier) => {
+            let end = window.end();
+            for &v in &frontier.reachable {
+                if let Some(a) = frontier.arrival(v).filter(|&a| a <= end) {
+                    times.arrival[v as usize] = Some(a);
+                    scratch.reached.push(v);
+                }
+            }
+        }
+        None => forward_pass(graph, s, Some(t), window, &mut times.arrival, scratch),
+    }
     backward_pass(graph, s, t, window, &mut times.departure, scratch);
 }
 
 /// Forward half of Algorithm 3: earliest arrival from `s` within `window`,
-/// never relaxing into `avoid` (the query target, when there is one). The
-/// caller has cleared and sized `arrival`.
+/// never relaxing into `avoid` (the query target, when there is one).
+/// Writes only `None` entries of `arrival` (which covers every vertex) and
+/// records each vertex it labels in `scratch.reached`.
 fn forward_pass(
     graph: &TemporalGraph,
     s: VertexId,
@@ -115,21 +220,25 @@ fn forward_pass(
 ) {
     let queue = &mut scratch.queue;
     let queued = &mut scratch.queued;
-    arrival[s as usize] = Some(window.begin() - 1);
+    arrival[s as usize] = Some(window.begin().saturating_sub(1));
+    scratch.reached.push(s);
     queue.clear();
     queue.push_back(s);
-    queued.clear();
-    queued.resize(arrival.len(), false);
     queued[s as usize] = true;
     while let Some(u) = queue.pop_front() {
         queued[u as usize] = false;
         let reach = arrival[u as usize].expect("queued vertices carry labels");
         for entry in graph.out_neighbors_in(u, window) {
-            if Some(entry.neighbor) == avoid || entry.time <= reach {
+            // The window slice already bounds the source's edges; its
+            // sentinel is never compared (it saturates at `i64::MIN`).
+            if Some(entry.neighbor) == avoid || (u != s && entry.time <= reach) {
                 continue;
             }
             let v = entry.neighbor as usize;
             if arrival[v].is_none_or(|cur| entry.time < cur) {
+                if arrival[v].is_none() {
+                    scratch.reached.push(entry.neighbor);
+                }
                 arrival[v] = Some(entry.time);
                 // A vertex arriving exactly at τ_e cannot be extended further,
                 // but other in-edges may still improve it, so it is re-queued
@@ -144,8 +253,9 @@ fn forward_pass(
 }
 
 /// Backward half of Algorithm 3: latest departure towards `t` within
-/// `window`, never relaxing into `s`. The caller has cleared and sized
-/// `departure`.
+/// `window`, never relaxing into `s`. Writes only `None` entries of
+/// `departure` (which covers every vertex) and records each vertex it
+/// labels in `scratch.reaching`.
 fn backward_pass(
     graph: &TemporalGraph,
     s: VertexId,
@@ -156,21 +266,23 @@ fn backward_pass(
 ) {
     let queue = &mut scratch.queue;
     let queued = &mut scratch.queued;
-    departure[t as usize] = Some(window.end() + 1);
+    departure[t as usize] = Some(window.end().saturating_add(1));
+    scratch.reaching.push(t);
     queue.clear();
     queue.push_back(t);
-    queued.clear();
-    queued.resize(departure.len(), false);
     queued[t as usize] = true;
     while let Some(u) = queue.pop_front() {
         queued[u as usize] = false;
         let depart = departure[u as usize].expect("queued vertices carry labels");
         for entry in graph.in_neighbors_in(u, window) {
-            if entry.neighbor == s || entry.time >= depart {
+            if entry.neighbor == s || (u != t && entry.time >= depart) {
                 continue;
             }
             let v = entry.neighbor as usize;
             if departure[v].is_none_or(|cur| entry.time > cur) {
+                if departure[v].is_none() {
+                    scratch.reaching.push(entry.neighbor);
+                }
                 departure[v] = Some(entry.time);
                 if entry.time != window.begin() && !queued[v] {
                     queued[v] = true;
@@ -197,8 +309,7 @@ fn backward_pass(
 /// only "paths" revisit `t`). Consumers therefore treat `H` as an *input
 /// graph* and re-run the exact pipeline on it — `tspG(H) = tspG(G)` by the
 /// Definition-2 containment argument, and `H` is `G_q`-sized, so the rerun
-/// replaces the full-graph forward BFS and `O(m)` edge scan with work
-/// proportional to the query's own neighbourhood.
+/// costs little beside the forward BFS the shared pass saves.
 ///
 /// **Window restriction is exact for same-begin windows.** A strict
 /// temporal path arriving at time `τ` uses only edge times in
@@ -242,18 +353,12 @@ impl SourceFrontier {
     pub fn compute(graph: &TemporalGraph, source: VertexId, window: TimeInterval) -> Self {
         let n = graph.num_vertices();
         let mut arrival = vec![None; n];
+        let mut scratch = PolarityScratch { queued: vec![false; n], ..PolarityScratch::default() };
         if (source as usize) < n {
-            forward_pass(
-                graph,
-                source,
-                None,
-                window,
-                &mut arrival,
-                &mut PolarityScratch::default(),
-            );
+            forward_pass(graph, source, None, window, &mut arrival, &mut scratch);
         }
-        let reachable =
-            arrival.iter().enumerate().filter_map(|(v, a)| a.map(|_| v as VertexId)).collect();
+        let mut reachable = scratch.reached;
+        reachable.sort_unstable();
         Self { source, window, arrival, reachable }
     }
 
@@ -285,48 +390,6 @@ impl SourceFrontier {
             && self.window.begin() == window.begin()
             && self.window.contains_interval(&window)
     }
-}
-
-/// Frontier-sharing variant of [`compute_polarity_into`]: the forward
-/// labels are *restricted* from the shared [`SourceFrontier`] (an `O(n)`
-/// clamp instead of a BFS) and only the target-dependent backward pass
-/// runs.
-///
-/// The restriction keeps `A₀(u)` iff `A₀(u) ≤ window.end()` — exact for
-/// the frontier's begin (see [`SourceFrontier`]); the resulting tables
-/// admit a superset of [`compute_polarity_into`]'s edges (the frontier does
-/// not avoid the target), which the downstream EEV phase reduces to the
-/// identical tspG.
-///
-/// # Panics
-///
-/// Panics if the frontier does not cover `(s, window)`.
-pub fn compute_polarity_into_with_frontier(
-    graph: &TemporalGraph,
-    s: VertexId,
-    t: VertexId,
-    window: TimeInterval,
-    frontier: &SourceFrontier,
-    times: &mut PolarityTimes,
-    scratch: &mut PolarityScratch,
-) {
-    assert!(
-        frontier.covers(s, window),
-        "frontier over {} from vertex {} cannot answer ({s}, {t}, {window})",
-        frontier.window,
-        frontier.source,
-    );
-    let n = graph.num_vertices();
-    times.departure.clear();
-    times.departure.resize(n, None);
-    times.arrival.clear();
-    if (t as usize) >= n || (s as usize) >= n {
-        times.arrival.resize(n, None);
-        return;
-    }
-    let end = window.end();
-    times.arrival.extend(frontier.arrival.iter().map(|a| a.filter(|&time| time <= end)));
-    backward_pass(graph, s, t, window, &mut times.departure, scratch);
 }
 
 /// A per-source **arrival profile**: earliest arrival at every vertex as a
@@ -473,7 +536,7 @@ impl ArrivalProfile {
     /// Clamps the profile at a member `window`, writing a [`SourceFrontier`]
     /// that is byte-identical to `SourceFrontier::compute` over that window
     /// — for every begin inside the hull. The frontier's own machinery
-    /// (`covers`, `compute_polarity_into_with_frontier`, the candidate-edge
+    /// (`covers`, the frontier labelling of the engine, the candidate-edge
     /// scan) then applies unchanged.
     ///
     /// # Panics
@@ -489,14 +552,20 @@ impl ArrivalProfile {
         let n = self.starts.len() - 1;
         out.source = self.source;
         out.window = window;
-        out.arrival.clear();
+        // Only the previous clamp's labels are set: reset those rather
+        // than the whole table, so a member clamp costs its reachable set.
+        for &v in &out.reachable {
+            if let Some(slot) = out.arrival.get_mut(v as usize) {
+                *slot = None;
+            }
+        }
         out.arrival.resize(n, None);
         out.reachable.clear();
         let (begin, end) = (window.begin(), window.end());
         for &v in &self.reachable {
             let arrival = if v == self.source {
                 // The source carries the same sentinel a fresh pass writes.
-                Some(begin - 1)
+                Some(begin.saturating_sub(1))
             } else {
                 let front = self.front(v);
                 let idx = front.partition_point(|&(f, _)| f < begin);
@@ -682,15 +751,7 @@ mod tests {
         let mut scratch = PolarityScratch::default();
         for end in [5, 7] {
             let member = TimeInterval::new(2, end);
-            compute_polarity_into_with_frontier(
-                &g,
-                s,
-                t,
-                member,
-                &frontier,
-                &mut times,
-                &mut scratch,
-            );
+            relabel_polarity_into(&g, s, t, member, Some(&frontier), &mut times, &mut scratch);
             if end == 7 {
                 assert_eq!(times.departure, direct.departure, "backward pass is untouched");
             }
@@ -721,12 +782,12 @@ mod tests {
     fn frontier_polarity_rejects_uncovered_windows() {
         let g = figure1_graph();
         let frontier = SourceFrontier::compute(&g, fig1::S, TimeInterval::new(2, 5));
-        compute_polarity_into_with_frontier(
+        relabel_polarity_into(
             &g,
             fig1::S,
             fig1::T,
             TimeInterval::new(2, 7),
-            &frontier,
+            Some(&frontier),
             &mut PolarityTimes::default(),
             &mut PolarityScratch::default(),
         );

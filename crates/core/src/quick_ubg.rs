@@ -3,10 +3,12 @@
 //! Given the polarity times, the quick upper-bound graph `G_q` keeps exactly
 //! the edges `e(u, v, τ)` with `A(u) < τ < D(v)` (Lemma 1): the edges lying
 //! on at least one strict temporal path from `s` to `t` within the window.
-//! The scan is `O(m)`.
+//! The public builders scan all `m` edges; the engine gathers the same edges
+//! from the out-edges of the vertices the forward pass labelled, so its scan
+//! costs `G_q`'s neighbourhood.
 
-use crate::polarity::{compute_polarity, PolarityTimes, SourceFrontier};
-use tspg_graph::{TemporalEdge, TemporalGraph, TimeInterval, VertexId};
+use crate::polarity::{compute_polarity, PolarityTimes};
+use tspg_graph::{EdgeId, TemporalGraph, TimeInterval, VertexId};
 
 /// Builds `G_q` from precomputed polarity times.
 pub fn quick_upper_bound_graph_from(
@@ -26,44 +28,39 @@ pub fn quick_upper_bound_graph_into(
     out.assign_edge_induced(graph, |_, e| polarity.admits_edge(e.src, e.dst, e.time));
 }
 
-/// Frontier-restricted edge scan: gathers into `buf` exactly the edges
-/// [`quick_upper_bound_graph_into`] keeps over the same tables, but scans
-/// only the out-edges of the shared frontier's reachable vertices instead
-/// of filtering all `m` edges of the input graph.
+/// Output-sensitive edge scan: gathers into `ids` exactly the edges
+/// [`quick_upper_bound_graph_into`] keeps over the same tables, as edge ids
+/// of `graph` in ascending order (which is the graph's time order).
 ///
-/// `polarity` must be the tables produced by
-/// [`crate::polarity::compute_polarity_into_with_frontier`] with the same
-/// `frontier` — its arrival labels are a (clamped) subset of the frontier's,
-/// so every admissible edge leaves a frontier-reachable vertex and the
-/// restricted scan loses nothing. Its cost is proportional to the
-/// frontier's out-degree sum rather than to `m` — the per-member win on
-/// large graphs whose query windows touch a sliver of the edge set.
-///
-/// `buf` is the caller's reusable edge buffer. The admitted edges arrive
-/// grouped by source vertex, unsorted, and no graph is built: the engine
-/// compacts them to their induced vertex set first.
-pub fn frontier_candidate_edges(
+/// Only the out-edges of the vertices in `reached` are read, and of those
+/// only the ones timed in `(A(u), τ_e]` — the window for `s`, whose
+/// sentinel is never compared. `reached` must list every vertex with an
+/// arrival label in `polarity` (the labelling records it): every admitted
+/// edge leaves such a vertex, so the restricted scan loses nothing. The
+/// labels may be a query's own or a shared frontier's (then the edges are
+/// the candidate superset `H`); either way the cost is the labelled
+/// vertices' out-degree inside the window, not `m`.
+pub(crate) fn candidate_edges_into(
     graph: &TemporalGraph,
     polarity: &PolarityTimes,
-    frontier: &SourceFrontier,
-    buf: &mut Vec<TemporalEdge>,
+    reached: &[VertexId],
+    ids: &mut Vec<EdgeId>,
 ) {
-    buf.clear();
-    for &u in frontier.reachable() {
-        // The member's clamp may have dropped this vertex's label; without
-        // an arrival no out-edge of `u` is admissible (Lemma 1).
+    ids.clear();
+    let Some((s, t, window)) = polarity.query() else { return };
+    for &u in reached {
         let Some(reach) = polarity.arrival(u) else { continue };
-        let outs = graph.out_neighbors(u);
-        let from = outs.partition_point(|a| a.time <= reach);
+        let outs = graph.out_neighbors_in(u, window);
+        // Labels lie inside the window, so this skips a prefix of it.
+        let from = if u == s { 0 } else { outs.partition_point(|a| a.time <= reach) };
         for entry in &outs[from..] {
-            // `A(u) < τ` holds by the slice bound; `τ < D(v)` (checked
-            // here) implies `τ ≤ τ_e`, and `τ > A(u) ≥ τ_b − 1` implies
-            // `τ ≥ τ_b`, so no separate window test is needed.
-            if polarity.departure(entry.neighbor).is_some_and(|depart| entry.time < depart) {
-                buf.push(TemporalEdge::new(u, entry.neighbor, entry.time));
+            let v = entry.neighbor;
+            if polarity.departure(v).is_some_and(|depart| v == t || entry.time < depart) {
+                ids.push(entry.edge);
             }
         }
     }
+    ids.sort_unstable();
 }
 
 /// Computes the polarity times and builds `G_q` in one call.
@@ -142,13 +139,14 @@ mod tests {
 
     #[test]
     fn frontier_restricted_scan_matches_the_full_scan() {
-        use crate::polarity::{
-            compute_polarity_into_with_frontier, PolarityScratch, SourceFrontier,
-        };
+        use crate::polarity::{relabel_polarity_into, PolarityScratch, SourceFrontier};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
-        let mut buf = Vec::new();
+        let mut ids = Vec::new();
+        // One warm scratch across graphs of different sizes, each query
+        // labelled from a frontier and then directly: the touched-list
+        // reset must leave nothing behind from the previous labelling.
         let mut scratch = PolarityScratch::default();
         let mut times = PolarityTimes::default();
         let mut full = TemporalGraph::default();
@@ -171,49 +169,40 @@ mod tests {
             for _ in 0..3 {
                 let t = rng.random_range(0..n) as VertexId;
                 let window = TimeInterval::new(2, rng.random_range(2..=hull.end()));
-                compute_polarity_into_with_frontier(
-                    &g,
-                    s,
-                    t,
-                    window,
-                    &frontier,
-                    &mut times,
-                    &mut scratch,
-                );
-                frontier_candidate_edges(&g, &times, &frontier, &mut buf);
-                quick_upper_bound_graph_into(&g, &times, &mut full);
-                assert_eq!(buf.len(), full.num_edges(), "case {case}: ({s}, {t}, {window})");
-                assert_eq!(
-                    EdgeSet::from_edges(buf.iter().copied()),
-                    EdgeSet::from_graph(&full),
-                    "case {case}: restricted scan diverged for ({s}, {t}, {window})"
-                );
+                for shared in [Some(&frontier), None] {
+                    relabel_polarity_into(&g, s, t, window, shared, &mut times, &mut scratch);
+                    candidate_edges_into(&g, &times, scratch.reached(), &mut ids);
+                    quick_upper_bound_graph_into(&g, &times, &mut full);
+                    let gathered: Vec<TemporalEdge> = ids.iter().map(|&id| g.edge(id)).collect();
+                    assert_eq!(
+                        gathered,
+                        full.edges(),
+                        "case {case}: restricted scan diverged for ({s}, {t}, {window}), \
+                         frontier {}",
+                        shared.is_some()
+                    );
+                }
+                // The direct labelling's scan is G_q itself.
+                let gq = quick_upper_bound_graph(&g, s, t, window);
+                assert_eq!(full.edges(), gq.edges(), "case {case}");
             }
         }
     }
 
     #[test]
     fn frontier_gq_is_a_superset_of_the_avoiding_gq() {
-        use crate::polarity::{
-            compute_polarity_into_with_frontier, PolarityScratch, SourceFrontier,
-        };
+        use crate::polarity::{relabel_polarity_into, PolarityScratch, SourceFrontier};
         let g = figure1_graph();
         let (s, t, w) = figure1_query();
         let frontier = SourceFrontier::compute(&g, s, w);
         let mut times = PolarityTimes::default();
-        let mut buf = Vec::new();
-        compute_polarity_into_with_frontier(
-            &g,
-            s,
-            t,
-            w,
-            &frontier,
-            &mut times,
-            &mut PolarityScratch::default(),
-        );
-        frontier_candidate_edges(&g, &times, &frontier, &mut buf);
+        let mut scratch = PolarityScratch::default();
+        let mut ids = Vec::new();
+        relabel_polarity_into(&g, s, t, w, Some(&frontier), &mut times, &mut scratch);
+        candidate_edges_into(&g, &times, scratch.reached(), &mut ids);
         let avoiding = EdgeSet::from_graph(&quick_upper_bound_graph(&g, s, t, w));
-        assert!(avoiding.is_subset_of(&EdgeSet::from_edges(buf.iter().copied())));
+        let candidate = EdgeSet::from_edges(ids.iter().map(|&id| g.edge(id)));
+        assert!(avoiding.is_subset_of(&candidate));
     }
 
     #[test]

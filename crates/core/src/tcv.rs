@@ -117,11 +117,17 @@ impl EntryList {
 /// The tables own a recycling pool of vertex-set buffers so that
 /// [`TcvTables::recompute`] on a warm instance performs no steady-state
 /// allocation: every set stored for the new query reuses a buffer retired
-/// from the previous one.
+/// from the previous one. The per-vertex lists only ever grow in number,
+/// and a recompute clears just the ones the previous graph used, so a warm
+/// instance costs each graph its own size and never the largest it has
+/// seen.
 #[derive(Clone, Debug, Default)]
 pub struct TcvTables {
     source: VertexId,
     target: VertexId,
+    /// Lists in use: the vertex count of the last recomputed graph. Lists
+    /// past it are empty.
+    active: usize,
     forward: Vec<EntryList>,
     backward: Vec<EntryList>,
     /// Retired vertex-set buffers, ready for reuse.
@@ -145,8 +151,13 @@ impl TcvTables {
         self.source = source;
         self.target = target;
         let n = gq.num_vertices();
-        recycle_entry_lists(&mut self.forward, &mut self.pool, n);
-        recycle_entry_lists(&mut self.backward, &mut self.pool, n);
+        recycle_entry_lists(&mut self.forward[..self.active], &mut self.pool);
+        recycle_entry_lists(&mut self.backward[..self.active], &mut self.pool);
+        if self.forward.len() < n {
+            self.forward.resize_with(n, EntryList::default);
+            self.backward.resize_with(n, EntryList::default);
+        }
+        self.active = n;
         for u in 0..n as VertexId {
             let list = &mut self.forward[u as usize];
             list.times.extend(gq.in_neighbors(u).iter().map(|a| a.time));
@@ -182,10 +193,33 @@ impl TcvTables {
         })
     }
 
+    /// The forward set strictly before `tau`: [`TcvTables::forward`] at
+    /// `tau − 1`, without the subtraction (which overflows at `i64::MIN`).
+    pub(crate) fn forward_before(&self, u: VertexId, tau: Timestamp) -> TcvValue<'_> {
+        if u == self.source {
+            return TcvValue::Empty;
+        }
+        lookup(&self.forward[u as usize], u, |times| {
+            times.partition_point(|&t| t < tau).checked_sub(1)
+        })
+    }
+
+    /// The backward set strictly after `tau`: [`TcvTables::backward`] at
+    /// `tau + 1`, without the addition (which overflows at `i64::MAX`).
+    pub(crate) fn backward_after(&self, u: VertexId, tau: Timestamp) -> TcvValue<'_> {
+        if u == self.target {
+            return TcvValue::Empty;
+        }
+        lookup(&self.backward[u as usize], u, |times| {
+            let idx = times.partition_point(|&t| t <= tau);
+            (idx < times.len()).then_some(idx)
+        })
+    }
+
     /// Rough heap usage of both tables (part of VUG's space accounting).
     pub fn approx_bytes(&self) -> usize {
-        self.forward.iter().map(EntryList::approx_bytes).sum::<usize>()
-            + self.backward.iter().map(EntryList::approx_bytes).sum::<usize>()
+        self.forward[..self.active].iter().map(EntryList::approx_bytes).sum::<usize>()
+            + self.backward[..self.active].iter().map(EntryList::approx_bytes).sum::<usize>()
     }
 
     /// Forward scan implementing Equation (3) with Lemma 7 pruning.
@@ -203,7 +237,7 @@ impl TcvTables {
             }
             // Contribution of this in-edge: TCV_{τ-1}(s, v) ∪ {u}.
             contribution.clear();
-            self.forward(v, tau - 1).extend_into(&mut contribution);
+            self.forward_before(v, tau).extend_into(&mut contribution);
             insert_sorted(&mut contribution, u);
             self.accumulate(Direction::Forward, u, tau, &contribution, &mut completed);
         }
@@ -226,7 +260,7 @@ impl TcvTables {
             }
             // Contribution of this out-edge: TCV_{τ+1}(v, t) ∪ {u}.
             contribution.clear();
-            self.backward(v, tau + 1).extend_into(&mut contribution);
+            self.backward_after(v, tau).extend_into(&mut contribution);
             insert_sorted(&mut contribution, u);
             self.accumulate(Direction::Backward, u, tau, &contribution, &mut completed);
         }
@@ -284,17 +318,15 @@ impl TcvTables {
     }
 }
 
-/// Clears every list and returns its set buffers to the pool, then resizes
-/// the outer vector to `n` empty lists.
-fn recycle_entry_lists(lists: &mut Vec<EntryList>, pool: &mut Vec<Vec<VertexId>>, n: usize) {
-    for list in lists.iter_mut() {
+/// Clears every list and returns its set buffers to the pool.
+fn recycle_entry_lists(lists: &mut [EntryList], pool: &mut Vec<Vec<VertexId>>) {
+    for list in lists {
         for mut buffer in list.sets.drain(..).flatten() {
             buffer.clear();
             pool.push(buffer);
         }
         list.times.clear();
     }
-    lists.resize_with(n, EntryList::default);
 }
 
 enum Direction {

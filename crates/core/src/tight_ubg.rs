@@ -45,8 +45,8 @@ fn keep_edge(tcv: &TcvTables, s: VertexId, t: VertexId, e: &tspg_graph::Temporal
     }
     // Lemma 8: it suffices to test the latest prefix entry of u strictly
     // before τ against the earliest suffix entry of v strictly after τ.
-    let forward = tcv.forward(e.src, e.time - 1);
-    let backward = tcv.backward(e.dst, e.time + 1);
+    let forward = tcv.forward_before(e.src, e.time);
+    let backward = tcv.backward_after(e.dst, e.time);
     forward.is_disjoint(&backward)
 }
 

@@ -70,8 +70,10 @@ pub struct VugReport {
     pub result_vertices: usize,
     /// EEV counters (rule confirmations, searches, rejections).
     pub eev: EevStats,
-    /// Approximate peak heap bytes of the run: `G_q` + TCV tables + `G_t`
-    /// + result (the quantity reported for VUG in Fig. 7).
+    /// Approximate peak heap bytes of the run's compact working state: the
+    /// polarity labels it wrote + `G_q` + TCV tables + `G_t` + result, the
+    /// upper-bound graphs and tables over `G_q`'s own vertices (the
+    /// quantity reported for VUG in Fig. 7).
     pub approx_bytes: usize,
 }
 

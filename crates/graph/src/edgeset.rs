@@ -151,6 +151,25 @@ impl EdgeSet {
         (TemporalGraph::from_edges(mapping.len(), edges), mapping)
     }
 
+    /// Maps an edge set over compact vertex ids back to original ids in
+    /// place: compact vertex `i` becomes `originals[i]`.
+    ///
+    /// `originals` must be strictly ascending — the order
+    /// [`EdgeSet::to_compact_graph`] hands ids out in — so the renaming
+    /// preserves the canonical `(time, src, dst)` order and no re-sort is
+    /// needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a compact vertex past `originals`.
+    pub fn uncompact(&mut self, originals: &[VertexId]) {
+        debug_assert!(originals.windows(2).all(|w| w[0] < w[1]), "originals must ascend");
+        for e in &mut self.edges {
+            e.src = originals[e.src as usize];
+            e.dst = originals[e.dst as usize];
+        }
+    }
+
     /// Rough number of heap bytes used by the stored edges.
     pub fn approx_bytes(&self) -> usize {
         self.edges.len() * std::mem::size_of::<TemporalEdge>()
@@ -271,6 +290,11 @@ mod tests {
                 TemporalEdge::new(mapping[e.src as usize], mapping[e.dst as usize], e.time)
             }));
         assert_eq!(restored, es);
+        // `uncompact` does the same renaming in place, order intact.
+        let mut in_place = EdgeSet::from_graph(&g);
+        in_place.uncompact(&mapping);
+        assert_eq!(in_place, es);
+        assert!(in_place.edges().windows(2).all(|w| w[0] < w[1]));
         // Empty sets compact to the empty graph.
         let (empty, mapping) = EdgeSet::new().to_compact_graph();
         assert_eq!(empty.num_vertices(), 0);
