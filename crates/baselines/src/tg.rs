@@ -20,7 +20,9 @@ use tspg_graph::{TemporalGraph, TimeInterval, Timestamp, VertexId};
 /// Mirroring Algorithm 3 of the paper, the forward pass never relaxes an
 /// edge into `t` (so `A(t)` stays "+∞" / `None`) and the backward pass never
 /// relaxes an edge into `s`; the sentinels are `A(s) = τ_b − 1` and
-/// `D(t) = τ_e + 1`.
+/// `D(t) = τ_e + 1`. At the ends of the timestamp range they saturate, so
+/// neither pass compares them: the edges of `s` and `t` are bounded by the
+/// window alone.
 pub fn tg_polarity(
     graph: &TemporalGraph,
     s: VertexId,
@@ -35,15 +37,16 @@ pub fn tg_polarity(
     }
 
     // Forward Dijkstra: minimise arrival time under strict ascent.
-    arrival[s as usize] = Some(window.begin() - 1);
+    let sentinel = window.begin().saturating_sub(1);
+    arrival[s as usize] = Some(sentinel);
     let mut heap: BinaryHeap<Reverse<(Timestamp, VertexId)>> = BinaryHeap::new();
-    heap.push(Reverse((window.begin() - 1, s)));
+    heap.push(Reverse((sentinel, s)));
     while let Some(Reverse((dist, u))) = heap.pop() {
         if arrival[u as usize] != Some(dist) {
             continue; // stale entry
         }
         for entry in graph.out_neighbors_in(u, window) {
-            if entry.neighbor == t || entry.time <= dist {
+            if entry.neighbor == t || (u != s && entry.time <= dist) {
                 continue;
             }
             let v = entry.neighbor as usize;
@@ -55,15 +58,16 @@ pub fn tg_polarity(
     }
 
     // Backward Dijkstra: maximise departure time under strict ascent.
-    departure[t as usize] = Some(window.end() + 1);
+    let sentinel = window.end().saturating_add(1);
+    departure[t as usize] = Some(sentinel);
     let mut heap: BinaryHeap<(Timestamp, VertexId)> = BinaryHeap::new();
-    heap.push((window.end() + 1, t));
+    heap.push((sentinel, t));
     while let Some((dist, u)) = heap.pop() {
         if departure[u as usize] != Some(dist) {
             continue;
         }
         for entry in graph.in_neighbors_in(u, window) {
-            if entry.neighbor == s || entry.time >= dist {
+            if entry.neighbor == s || (u != t && entry.time >= dist) {
                 continue;
             }
             let v = entry.neighbor as usize;
@@ -78,7 +82,8 @@ pub fn tg_polarity(
 }
 
 /// Builds the `tgTSG` upper-bound graph for the query `(s, t, window)`:
-/// keep `e(u, v, τ)` iff `A(u) < τ < D(v)` (Lemma 1 of the paper).
+/// keep `e(u, v, τ)` iff `A(u) < τ < D(v)` (Lemma 1 of the paper), with
+/// the window standing in for the sentinels of `s` and `t`.
 pub fn tg_tsg(
     graph: &TemporalGraph,
     s: VertexId,
@@ -87,10 +92,9 @@ pub fn tg_tsg(
 ) -> TemporalGraph {
     let (arrival, departure) = tg_polarity(graph, s, t, window);
     graph.edge_induced(|_, e| {
-        matches!(
-            (arrival[e.src as usize], departure[e.dst as usize]),
-            (Some(a), Some(d)) if a < e.time && e.time < d
-        )
+        window.contains(e.time)
+            && arrival[e.src as usize].is_some_and(|a| e.src == s || a < e.time)
+            && departure[e.dst as usize].is_some_and(|d| e.dst == t || e.time < d)
     })
 }
 

@@ -90,25 +90,32 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Splits positional arguments from `--flag value` pairs.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// Splits positional arguments from `--flag value` pairs and bare
+/// `--switch`es. Each command passes the flags and switches it reads; any
+/// other `--name` is a usage error naming it.
+fn parse_flags(
+    args: &[String],
+    flags: &[&str],
+    switches: &[&str],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
-    let mut flags = HashMap::new();
+    let mut parsed = HashMap::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
-            let value = match name {
-                "dot" | "quiet" | "no-envelopes" | "no-profile-sharing" | "stats" | "shutdown" => {
-                    "true".to_string()
-                }
-                _ => iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?,
+            let value = if switches.contains(&name) {
+                "true".to_string()
+            } else if flags.contains(&name) {
+                iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?
+            } else {
+                return Err(format!("unknown flag --{name}"));
             };
-            flags.insert(name.to_string(), value);
+            parsed.insert(name.to_string(), value);
         } else {
             positional.push(arg.clone());
         }
     }
-    Ok((positional, flags))
+    Ok((positional, parsed))
 }
 
 fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a str, String> {
@@ -136,7 +143,7 @@ fn parse_query(
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, String> {
-    let (positional, _) = parse_flags(args)?;
+    let (positional, _) = parse_flags(args, &[], &[])?;
     let path = positional.first().ok_or("stats requires an edge-list path")?;
     let graph = load_graph(path)?;
     let stats = GraphStats::compute(&graph);
@@ -144,7 +151,7 @@ fn cmd_stats(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<String, String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags(args, &["dataset", "scale", "seed", "output"], &[])?;
     let dataset = required(&flags, "dataset")?;
     let spec = find(dataset).ok_or_else(|| format!("unknown dataset {dataset:?} (D1..D10)"))?;
     let scale = match flags.get("scale").map(String::as_str).unwrap_or("small") {
@@ -174,7 +181,8 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) =
+        parse_flags(args, &["source", "target", "begin", "end", "algorithm"], &["dot"])?;
     let path = positional.first().ok_or("query requires an edge-list path")?;
     let graph = load_graph(path)?;
     let (source, target, window) = parse_query(&flags)?;
@@ -226,7 +234,8 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_paths(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) =
+        parse_flags(args, &["source", "target", "begin", "end", "limit"], &[])?;
     let path = positional.first().ok_or("paths requires an edge-list path")?;
     let graph = load_graph(path)?;
     let (source, target, window) = parse_query(&flags)?;
@@ -247,7 +256,11 @@ fn cmd_paths(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_workload(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        &["queries", "theta", "seed", "fanout-sources", "end-spread", "begin-jitter", "output"],
+        &[],
+    )?;
     let path = positional.first().ok_or("workload requires an edge-list path")?;
     let graph = load_graph(path)?;
     let num_queries: usize = parse_number(required(&flags, "queries")?, "query count")?;
@@ -306,7 +319,18 @@ fn cmd_workload(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_flags(
+        args,
+        &[
+            "threads",
+            "cache-size",
+            "envelope-factor",
+            "envelope-density-cutoff",
+            "profile-density-cutoff",
+            "profile-cache-size",
+        ],
+        &["quiet", "no-envelopes", "no-profile-sharing"],
+    )?;
     let graph_path = positional.first().ok_or("batch requires an edge-list path")?;
     let query_path = positional.get(1).ok_or("batch requires a query-file path")?;
     let threads: usize = match flags.get("threads") {
@@ -505,7 +529,8 @@ fn parse_edge_batches(path: &str) -> Result<Vec<Vec<TemporalEdge>>, String> {
 fn cmd_client(args: &[String]) -> Result<String, String> {
     use tspg_server::protocol::{self, Response};
 
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) =
+        parse_flags(args, &["socket", "ingest"], &["quiet", "stats", "shutdown"])?;
     let query_path = positional.first().ok_or("client requires a query-file path")?;
     let socket = required(&flags, "socket")?;
     let quiet = flags.contains_key("quiet");
@@ -1183,5 +1208,16 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("invalid interval"));
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn misspelled_flags_are_rejected_by_name() {
+        // `--thread` is not `--threads`: it must not be ignored, and the
+        // error comes before either file is read.
+        let err = dispatch(&args(&["batch", "g.txt", "q.txt", "--thread", "4"])).unwrap_err();
+        assert_eq!(err, "unknown flag --thread");
+        // Switches are per command too: `query` reads no `--quiet`.
+        let err = dispatch(&args(&["query", "g.txt", "--quiet"])).unwrap_err();
+        assert_eq!(err, "unknown flag --quiet");
     }
 }

@@ -15,7 +15,8 @@ use tspg_graph::{TemporalGraph, TimeInterval, Timestamp, VertexId};
 ///
 /// The source itself gets `Some(window.begin() - 1)`, i.e. "already there
 /// before the window opens", which matches the sentinel `A(s) = τ_b − 1`
-/// used by the paper.
+/// used by the paper. The sentinel saturates at `i64::MIN` and is never
+/// compared: the window alone bounds the source's edges.
 pub fn earliest_arrival(
     graph: &TemporalGraph,
     s: VertexId,
@@ -26,7 +27,7 @@ pub fn earliest_arrival(
     if (s as usize) >= n {
         return arrival;
     }
-    arrival[s as usize] = Some(window.begin() - 1);
+    arrival[s as usize] = Some(window.begin().saturating_sub(1));
     let mut queue = VecDeque::new();
     let mut in_queue = vec![false; n];
     queue.push_back(s);
@@ -35,7 +36,7 @@ pub fn earliest_arrival(
         in_queue[u as usize] = false;
         let reach_u = arrival[u as usize].expect("queued vertices have arrival times");
         for entry in graph.out_neighbors_in(u, window) {
-            if entry.time <= reach_u {
+            if u != s && entry.time <= reach_u {
                 continue;
             }
             let v = entry.neighbor as usize;
@@ -54,7 +55,8 @@ pub fn earliest_arrival(
 /// Latest strict-temporal departure time from every vertex towards `t`
 /// within `window`, or `None` if `t` cannot be reached from the vertex.
 ///
-/// The target itself gets `Some(window.end() + 1)` (sentinel `D(t) = τ_e + 1`).
+/// The target itself gets `Some(window.end() + 1)` (sentinel `D(t) = τ_e + 1`,
+/// saturating at `i64::MAX` and never compared).
 pub fn latest_departure(
     graph: &TemporalGraph,
     t: VertexId,
@@ -65,7 +67,7 @@ pub fn latest_departure(
     if (t as usize) >= n {
         return departure;
     }
-    departure[t as usize] = Some(window.end() + 1);
+    departure[t as usize] = Some(window.end().saturating_add(1));
     let mut queue = VecDeque::new();
     let mut in_queue = vec![false; n];
     queue.push_back(t);
@@ -74,7 +76,7 @@ pub fn latest_departure(
         in_queue[u as usize] = false;
         let depart_u = departure[u as usize].expect("queued vertices have departure times");
         for entry in graph.in_neighbors_in(u, window) {
-            if entry.time >= depart_u {
+            if u != t && entry.time >= depart_u {
                 continue;
             }
             let v = entry.neighbor as usize;

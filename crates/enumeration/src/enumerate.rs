@@ -105,9 +105,8 @@ where
             visitor: &mut visitor,
         };
         state.visited[s as usize] = true;
-        // The first edge may take any timestamp inside the window, which is
-        // equivalent to requiring it to be strictly larger than τ_b − 1.
-        let _ = state.explore(s, window.begin() - 1);
+        // The first edge may take any timestamp inside the window.
+        let _ = state.explore(s, window.begin());
     }
     stats.steps = clock.steps;
     stats.paths_found = clock.paths;
@@ -163,11 +162,11 @@ impl<F> DfsState<'_, F>
 where
     F: FnMut(&TemporalPath) -> ControlFlow<()>,
 {
-    /// Extends the current path from `cur`, whose arrival time is `last_time`.
+    /// Extends the current path from `cur` by edges at `earliest` or later.
     /// Returns `Break` when the search must stop (budget hit or visitor
     /// abort).
-    fn explore(&mut self, cur: VertexId, last_time: Timestamp) -> ControlFlow<()> {
-        let lower = TimeInterval::try_new(last_time + 1, self.window.end());
+    fn explore(&mut self, cur: VertexId, earliest: Timestamp) -> ControlFlow<()> {
+        let lower = TimeInterval::try_new(earliest, self.window.end());
         let Some(lower) = lower else { return ControlFlow::Continue(()) };
         for entry in self.graph.out_neighbors_in(cur, lower) {
             if let Some(status) = self.clock.tick_step() {
@@ -195,9 +194,16 @@ where
                     return ControlFlow::Break(());
                 }
             } else {
-                self.visited[next as usize] = true;
-                let flow = self.explore(next, edge.time);
-                self.visited[next as usize] = false;
+                // A path that arrives at `i64::MAX` cannot be extended.
+                let flow = match edge.time.checked_add(1) {
+                    Some(earliest) => {
+                        self.visited[next as usize] = true;
+                        let flow = self.explore(next, earliest);
+                        self.visited[next as usize] = false;
+                        flow
+                    }
+                    None => ControlFlow::Continue(()),
+                };
                 self.path.pop();
                 flow?;
             }

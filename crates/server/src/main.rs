@@ -1,22 +1,21 @@
 //! `tspg-server` — resident serving frontend over a unix domain socket.
 //!
 //! ```text
-//! tspg-server <edge-list> --socket PATH [--admit-max N] [--admit-window-ms T]
-//!             [--quota N] [--threads N] [--cache-size N]
-//!             [--profile-cache-size N]
+//! tspg-server <edge-list> --socket PATH [--admit-max N] [--quota N]
+//!             [--threads N] [--cache-size N] [--profile-cache-size N]
 //! ```
 //!
 //! Loads the edge list once, builds one [`QueryEngine`] and serves the
 //! line-oriented protocol (see [`tspg_server::protocol`]) until a client
 //! sends the `shutdown` verb. On shutdown the admission queue is drained,
 //! every pending answer is written, the socket is unlinked and the process
-//! exits 0 with a final stats dump on stderr.
+//! exits 0 with a final stats dump on stderr. A flag not listed above is a
+//! usage error.
 
 #![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Duration;
 use tspg_core::{CacheConfig, ProfileCacheConfig, QueryEngine};
 use tspg_graph::io;
 use tspg_server::{Server, ServerConfig};
@@ -34,8 +33,12 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:\n  tspg-server <edge-list> --socket PATH [--admit-max N] \
-                     [--admit-window-ms T]\n              [--quota N] [--threads N] \
-                     [--cache-size N] [--profile-cache-size N]";
+                     [--quota N]\n              [--threads N] [--cache-size N] \
+                     [--profile-cache-size N]";
+
+/// Every flag `run` reads; any other is rejected before the graph loads.
+const FLAGS: &[&str] =
+    &["socket", "admit-max", "quota", "threads", "cache-size", "profile-cache-size"];
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
@@ -55,10 +58,6 @@ fn run(args: &[String]) -> Result<(), String> {
         if config.admit_max == 0 {
             return Err("--admit-max must be at least 1".to_string());
         }
-    }
-    if let Some(v) = flags.get("admit-window-ms") {
-        let ms: u64 = parse_number(v, "admission window")?;
-        config.admit_window = Duration::from_millis(ms);
     }
     if let Some(v) = flags.get("quota") {
         config.quota = parse_number(v, "per-client quota")?;
@@ -105,9 +104,8 @@ fn run(args: &[String]) -> Result<(), String> {
     let handle =
         Server::bind(engine, socket, config).map_err(|e| format!("cannot bind {socket}: {e}"))?;
     eprintln!(
-        "tspg-server: listening on {socket} (admit_max={}, admit_window={:?}, quota={}, \
-         threads={})",
-        config.admit_max, config.admit_window, config.quota, config.threads
+        "tspg-server: listening on {socket} (admit_max={}, quota={}, threads={})",
+        config.admit_max, config.quota, config.threads
     );
     // Blocks until a client sends the `shutdown` verb.
     let report = handle.join();
@@ -126,13 +124,16 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Splits positional arguments from `--flag value` pairs (same convention
-/// as the `tspg` CLI).
+/// as the `tspg` CLI), rejecting any flag not in [`FLAGS`].
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if let Some(name) = arg.strip_prefix("--") {
+            if !FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
+            }
             let value = iter.next().cloned().ok_or_else(|| format!("--{name} expects a value"))?;
             flags.insert(name.to_string(), value);
         } else {
@@ -144,4 +145,23 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
 
 fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
     value.parse().map_err(|_| format!("invalid {what}: {value:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_before_the_graph_is_read() {
+        // The edge list does not exist: an error naming the flag proves the
+        // flag was judged before the graph load was attempted.
+        for flag in ["--admit-windw-ms", "--admit-window-ms"] {
+            let err = run(&args(&["missing.txt", "--socket", "s.sock", flag, "5"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
+        }
+    }
 }

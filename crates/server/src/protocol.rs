@@ -270,7 +270,9 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
             let num_edges = kv("edges")?;
             let vertices = kv("vertices")? as usize;
             let ns = kv("ns")?;
-            let mut edges = Vec::with_capacity(num_edges as usize);
+            // Grown by the triples the line carries: the announced count is
+            // checked below, never trusted to size an allocation.
+            let mut edges = Vec::new();
             for triple in fields.by_ref() {
                 let mut parts = triple.split(',');
                 let mut part = |what: &str| -> Result<i64, String> {
@@ -416,7 +418,139 @@ mod tests {
         assert_eq!(parse_response("pong").unwrap(), Response::Pong);
         assert_eq!(parse_response("bye").unwrap(), Response::Bye);
         assert!(parse_response("result 1 edges=2 vertices=1 ns=5 0,1,2").is_err());
+        // An announced count far above the carried triples must be rejected
+        // without reserving room for it.
+        assert!(parse_response("result 1 edges=1000000000000 vertices=0 ns=0").is_err());
+        assert!(parse_response("result 1 edges=18446744073709551615 vertices=0 ns=0").is_err());
         assert!(parse_response("result 1 edges=1 vertices=1 ns=5 0,1").is_err());
         assert!(parse_response("nonsense").is_err());
+    }
+
+    /// The token pool fuzzed lines are built from: every verb of both
+    /// directions (plus garbage), the field prefixes, and values — numbers
+    /// at the `u32`, `u64` and `i64` extremes, comma triples and garbage.
+    const VERBS: &[&str] = &[
+        "query",
+        "ingest",
+        "stats",
+        "ping",
+        "shutdown",
+        "result",
+        "ingested",
+        "error",
+        "pong",
+        "bye",
+        "frobnicate",
+    ];
+    const PREFIXES: &[&str] = &["", "edges=", "vertices=", "ns=", "epoch="];
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "7",
+        "4294967295",
+        "4294967296",
+        "1000000000000",
+        "9223372036854775807",
+        "9223372036854775808",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "0,1,2",
+        "4294967295,0,9223372036854775807",
+        "1,2,-9223372036854775808",
+        "0,4294967296,1",
+        "1,2",
+        "1,2,3,4",
+        ",,",
+        "",
+        "x",
+        "=",
+        "é",
+        "\u{0}",
+    ];
+
+    /// The field prefixes of a well-formed line with this verb, so fuzzed
+    /// lines reach past the first field often enough.
+    fn shape(verb: &str) -> &'static [&'static str] {
+        match verb {
+            "query" => &["", "", "", "", ""],
+            "ingest" => &["", "", ""],
+            "result" => &["", "edges=", "vertices=", "ns="],
+            "ingested" => &["epoch=", "edges="],
+            "error" => &[""],
+            _ => &[],
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(20_000))]
+
+        /// No line built from the pool panics either parser (or aborts on
+        /// an allocation), and every request the parser accepts formats
+        /// back to a line that parses to the same request.
+        #[test]
+        fn parsers_never_panic_on_lines_built_from_the_token_pool(
+            (verb, fields) in (
+                0..VERBS.len(),
+                proptest::collection::vec((0..4 * PREFIXES.len(), 0..VALUES.len()), 0..10),
+            )
+        ) {
+            let verb = VERBS[verb];
+            let mut line = verb.to_string();
+            for (i, &(prefix, value)) in fields.iter().enumerate() {
+                // Mostly the prefix the verb expects at this field.
+                let prefix = match shape(verb).get(i) {
+                    Some(expected) if prefix >= PREFIXES.len() => expected,
+                    _ => PREFIXES[prefix % PREFIXES.len()],
+                };
+                line.push(' ');
+                line.push_str(prefix);
+                line.push_str(VALUES[value]);
+            }
+            let _ = parse_response(&line);
+            match parse_request(&line) {
+                Ok(Request::Query { id, query }) => {
+                    let again = parse_request(&format_query(id, &query));
+                    let want = Ok(Request::Query { id, query });
+                    proptest::prop_assert_eq!(again, want, "{}", line);
+                }
+                Ok(Request::Ingest { edges }) => {
+                    let again = parse_request(&format_ingest(&edges));
+                    let want = Ok(Request::Ingest { edges });
+                    proptest::prop_assert_eq!(again, want, "{}", line);
+                }
+                Ok(_) | Err(_) => {}
+            }
+        }
+
+        /// Well-formed `query` and `ingest` lines with values anywhere in
+        /// their types' ranges round-trip through the formatters.
+        #[test]
+        fn well_formed_requests_round_trip_through_the_formatters(
+            (id, source, target, a, b, edges) in (
+                0..=u64::MAX,
+                0..=u32::MAX,
+                0..=u32::MAX,
+                i64::MIN..=i64::MAX,
+                i64::MIN..=i64::MAX,
+                proptest::collection::vec(
+                    (0..=u32::MAX, 0..=u32::MAX, i64::MIN..=i64::MAX),
+                    1..6,
+                ),
+            )
+        ) {
+            let window = tspg_graph::TimeInterval::new(a.min(b), a.max(b));
+            let query = QuerySpec::new(source, target, window);
+            let line = format_query(id, &query);
+            let want = Ok(Request::Query { id, query });
+            proptest::prop_assert_eq!(parse_request(&line), want, "{}", line);
+            let edges: Vec<TemporalEdge> =
+                edges.into_iter().map(|(s, d, time)| TemporalEdge::new(s, d, time)).collect();
+            let line = format_ingest(&edges);
+            let want = Ok(Request::Ingest { edges });
+            proptest::prop_assert_eq!(parse_request(&line), want, "{}", line);
+        }
     }
 }

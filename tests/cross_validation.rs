@@ -5,8 +5,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tspg_suite::graph::fixtures::figure1_expected_tspg_edges;
 use tspg_suite::prelude::*;
-use tspg_suite::{baselines, core};
+use tspg_suite::{baselines, core, datasets};
 
 struct Case {
     graph: TemporalGraph,
@@ -167,5 +168,77 @@ fn batch_workloads_on_registry_datasets_are_consistent() {
                 "workload queries are reachable, so the tspG is non-empty"
             );
         }
+    }
+}
+
+/// A query at the ends of the timestamp range with its exact tspG.
+struct ExtremeFixture {
+    name: &'static str,
+    graph: TemporalGraph,
+    source: VertexId,
+    target: VertexId,
+    window: TimeInterval,
+    expected: EdgeSet,
+}
+
+/// The sentinels `τ_b − 1` and `τ_e + 1` saturate instead of wrapping, and
+/// a path that arrives at `i64::MAX` cannot be extended.
+fn extreme_fixtures() -> Vec<ExtremeFixture> {
+    let chain = |first: Timestamp| {
+        TemporalGraph::from_edges(
+            3,
+            vec![TemporalEdge::new(0, 1, first), TemporalEdge::new(1, 2, 5)],
+        )
+    };
+    let (s, t, _) = figure1_query();
+    let figure1 = |name, window| ExtremeFixture {
+        name,
+        graph: figure1_graph(),
+        source: s,
+        target: t,
+        window,
+        expected: EdgeSet::from_edges(figure1_expected_tspg_edges()),
+    };
+    vec![
+        // 5 does not follow i64::MAX: no temporal path.
+        ExtremeFixture {
+            name: "0 -[i64::MAX]-> 1 -[5]-> 2 over [0, i64::MAX]",
+            graph: chain(i64::MAX),
+            source: 0,
+            target: 2,
+            window: TimeInterval::new(0, i64::MAX),
+            expected: EdgeSet::new(),
+        },
+        figure1("Figure 1 over [0, i64::MAX]", TimeInterval::new(0, i64::MAX)),
+        figure1("Figure 1 over [i64::MIN, 100]", TimeInterval::new(i64::MIN, 100)),
+        ExtremeFixture {
+            name: "0 -[i64::MIN]-> 1 -[5]-> 2 over [i64::MIN, 10]",
+            graph: chain(i64::MIN),
+            source: 0,
+            target: 2,
+            window: TimeInterval::new(i64::MIN, 10),
+            expected: EdgeSet::from_edges(chain(i64::MIN).edges().iter().copied()),
+        },
+    ]
+}
+
+#[test]
+fn every_algorithm_is_exact_at_the_ends_of_the_timestamp_range() {
+    for fx in extreme_fixtures() {
+        let (g, s, t, w) = (&fx.graph, fx.source, fx.target, fx.window);
+        let naive = naive_tspg(g, s, t, w, &Budget::unlimited());
+        assert!(naive.is_exact(), "{}", fx.name);
+        assert_eq!(naive.tspg, fx.expected, "{}: naive enumeration", fx.name);
+        assert_eq!(generate_tspg(g, s, t, w).tspg, fx.expected, "{}: VUG", fx.name);
+        for alg in EpAlgorithm::ALL {
+            let ep = run_ep(alg, g, s, t, w, &Budget::unlimited());
+            assert_eq!(ep.tspg, fx.expected, "{}: {alg}", fx.name);
+        }
+        assert_eq!(
+            datasets::is_reachable(g, s, t, w),
+            !fx.expected.is_empty(),
+            "{}: is_reachable",
+            fx.name
+        );
     }
 }
