@@ -1188,10 +1188,10 @@ fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
 ///   [`tspg_server::Server`] over its unix socket by several concurrent
 ///   closed-loop clients, each pacing requests with a think time (the
 ///   arrival-rate knob: zero think time is an all-out burst, longer think
-///   times approximate sparser Poisson-like traffic). Group-commit
-///   admission batches whatever queues while the dispatcher is busy, so
-///   strangers' concurrent duplicates share dedup/cache/profile work
-///   without any timer adding latency.
+///   times approximate sparser Poisson-like traffic). Admission
+///   micro-batching makes strangers' concurrent duplicates share
+///   dedup/cache/frontier work, at the price of up to one admission window
+///   of added latency.
 ///
 /// The table reports p50/p95/p99 request latency per arm and the server's
 /// batch/sharing counters. Every server answer is checked byte-identical
@@ -1281,7 +1281,12 @@ pub fn exp13_server_latency(cfg: &HarnessConfig, threads: usize) -> Table {
             cfg.seed
         ));
         let engine = QueryEngine::new(graph.clone());
-        let config = ServerConfig { admit_max: 8, threads, ..ServerConfig::default() };
+        let config = ServerConfig {
+            admit_max: 8,
+            admit_window: Duration::from_millis(1),
+            threads,
+            ..ServerConfig::default()
+        };
         let handle = Server::bind(engine, &socket, config).expect("exp13 server bind");
 
         // Closed-loop clients: request, wait for the answer, think, repeat.

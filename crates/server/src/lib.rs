@@ -8,18 +8,17 @@
 //! contained-window and envelope sharing, arrival profiles — only pays off
 //! *inside a batch* or across batches of a long-lived process. One-shot
 //! CLI invocations get none of it. The server closes that gap with
-//! **group-commit admission**:
+//! **admission micro-batching**:
 //!
 //! * per-connection **reader threads** parse request lines and enqueue
-//!   them — tagged `(client, request_id)` — on a shared admission queue,
-//!   all the lines of one read together, so a pipelined burst arrives as
-//!   one run;
-//! * a single **dispatcher thread** hands whatever is queued to
-//!   [`QueryEngine::run_batch_with_stats`] the moment it is free, at most
-//!   [`ServerConfig::admit_max`] queries at a time. Nothing holds a request
-//!   back: a lone request runs at once, and requests that arrive while a
-//!   batch runs form the next batch, so under load strangers' queries
-//!   share dedup/containment/envelope/profile work;
+//!   them — tagged `(client, request_id)` — on a shared admission queue;
+//! * a single **dispatcher thread** flushes the queue to
+//!   [`QueryEngine::run_batch_with_stats`] as soon as
+//!   [`ServerConfig::admit_max`] requests accumulate **or** the oldest
+//!   pending request has waited [`ServerConfig::admit_window`], whichever
+//!   comes first — so strangers' queries land in one batch and share
+//!   dedup/containment/envelope/profile work. With nothing pending the
+//!   dispatcher sleeps until a request arrives;
 //! * answers stream back per request on the client's connection, tagged
 //!   with the request id (a client may pipeline up to
 //!   [`ServerConfig::quota`] requests; beyond that it gets tagged
@@ -60,23 +59,27 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 use tspg_core::{BatchStats, QueryEngine, QuerySpec};
 use tspg_graph::TemporalEdge;
 
 /// Admission and fairness knobs of a [`Server`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Cap on the queries one engine batch takes from the front of the
-    /// admission queue. The dispatcher never waits for a batch to fill; the
-    /// cap only bounds how much of a deep queue one batch takes.
+    /// Flush the admission queue to the engine once this many requests are
+    /// pending (the size trigger of the micro-batch).
     pub admit_max: usize,
+    /// Flush once the *oldest* pending request has waited this long (the
+    /// latency trigger). Admission adds at most this much to a request's
+    /// latency; in exchange concurrent strangers share batch work.
+    pub admit_window: Duration,
     /// Per-client cap on pipelined (sent but unanswered) requests. A
     /// request beyond the cap is answered with a tagged `error` line
     /// instead of a queue slot, so one greedy client cannot starve the
     /// admission queue.
     pub quota: usize,
     /// Worker threads handed to [`QueryEngine::run_batch_with_stats`] per
-    /// batch.
+    /// flush.
     pub threads: usize,
 }
 
@@ -84,7 +87,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         let threads =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-        Self { admit_max: 32, quota: 1024, threads }
+        Self { admit_max: 32, admit_window: Duration::from_millis(2), quota: 1024, threads }
     }
 }
 
@@ -92,9 +95,9 @@ impl Default for ServerConfig {
 /// [`ServerHandle::join`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerReport {
-    /// Accumulated engine counters over every query batch.
+    /// Accumulated engine counters over every flushed batch.
     pub totals: BatchStats,
-    /// Query batches run by the engine.
+    /// Batches flushed to the engine.
     pub batches: u64,
     /// Request lines received (all verbs).
     pub requests: u64,
@@ -121,17 +124,28 @@ enum Pending {
     Ingest(PendingIngest),
 }
 
+impl Pending {
+    fn enqueued(&self) -> Instant {
+        match self {
+            Pending::Query(p) => p.enqueued,
+            Pending::Ingest(p) => p.enqueued,
+        }
+    }
+}
+
 /// One query awaiting admission.
 struct PendingQuery {
     client: Arc<ClientSlot>,
     id: u64,
     query: QuerySpec,
+    enqueued: Instant,
 }
 
 /// One edge batch awaiting application at the next batch boundary.
 struct PendingIngest {
     client: Arc<ClientSlot>,
     edges: Vec<TemporalEdge>,
+    enqueued: Instant,
 }
 
 /// Per-connection state shared between its reader thread and the
@@ -184,6 +198,7 @@ struct Counters {
     malformed: AtomicU64,
     batches: AtomicU64,
     size_flushes: AtomicU64,
+    timer_flushes: AtomicU64,
     clients_accepted: AtomicU64,
     clients_gone: AtomicU64,
     ingest_batches: AtomicU64,
@@ -216,7 +231,8 @@ impl Shared {
         self.shutdown.store(true, Ordering::SeqCst);
         // Notify while holding the admission lock: without it the
         // dispatcher could check the flag, then park — missing this
-        // notification — and never wake to drain and exit.
+        // notification — and sleep out a whole admission window before
+        // draining.
         {
             let _queue = self.admission.lock().unwrap_or_else(PoisonError::into_inner);
             self.admit_cv.notify_all();
@@ -235,6 +251,7 @@ impl Shared {
             out.push('\n');
         };
         push("admit_max", self.config.admit_max as u64);
+        push("admit_window_us", self.config.admit_window.as_micros().min(u64::MAX as u128) as u64);
         push("quota", self.config.quota as u64);
         push("threads", self.config.threads as u64);
         // relaxed: serving counters are monotone statistics; a snapshot
@@ -247,6 +264,7 @@ impl Shared {
         push("malformed", c.malformed.load(Ordering::Relaxed));
         push("batches", c.batches.load(Ordering::Relaxed));
         push("size_flushes", c.size_flushes.load(Ordering::Relaxed));
+        push("timer_flushes", c.timer_flushes.load(Ordering::Relaxed));
         push("clients_accepted", c.clients_accepted.load(Ordering::Relaxed));
         push("clients_gone", c.clients_gone.load(Ordering::Relaxed));
         push("ingest_batches", c.ingest_batches.load(Ordering::Relaxed));
@@ -324,6 +342,7 @@ impl Server {
         };
         let config = ServerConfig {
             admit_max: config.admit_max.max(1),
+            admit_window: config.admit_window.max(Duration::from_micros(50)),
             quota: config.quota.max(1),
             threads: config.threads.max(1),
         };
@@ -447,31 +466,17 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &UnixListener) {
     }
 }
 
-/// Per-connection loop: parse request lines, enforce the quota, admit
-/// queries and ingests, answer control verbs inline.
-///
-/// The requests one read delivers join the admission queue together (see
-/// [`admit`]), so a pipelined burst reaches the dispatcher as one run
-/// instead of racing it line by line. Everything parsed is admitted before
-/// the reader blocks for more input and before it answers a control verb:
-/// a `pong` proves that every request sent before the `ping` is queued.
+/// Per-connection loop: parse request lines, enforce the quota, enqueue
+/// queries, answer control verbs inline.
 fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream) {
-    let mut reader = BufReader::new(stream);
-    let mut text = String::new();
-    let mut arrived = Vec::new();
+    let reader = BufReader::new(stream);
     // Only a real disconnect (EOF / read error) marks the slot gone. A
     // reader that stops because its client sent the `shutdown` verb must
     // NOT: that connection is alive and still owed its drained answers.
     let mut disconnected = true;
-    loop {
-        if !reader.buffer().contains(&b'\n') {
-            admit(shared, &mut arrived);
-        }
-        text.clear();
-        if !matches!(reader.read_line(&mut text), Ok(read) if read > 0) {
-            break;
-        }
-        let line = text.trim();
+    for line in reader.lines() {
+        let Ok(line) = line else { break };
+        let line = line.trim();
         if line.is_empty() {
             continue;
         }
@@ -488,7 +493,19 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                     continue;
                 }
                 slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                arrived.push(Pending::Query(PendingQuery { client: Arc::clone(slot), id, query }));
+                let pending = Pending::Query(PendingQuery {
+                    client: Arc::clone(slot),
+                    id,
+                    query,
+                    enqueued: Instant::now(),
+                });
+                let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
+                queue.push_back(pending);
+                // Notify while still holding the admission lock (see
+                // `begin_shutdown`): dropping the guard first would let
+                // the dispatcher check its predicate and park between our
+                // push and this wakeup, losing the notification.
+                shared.admit_cv.notify_all();
             }
             Ok(protocol::Request::Ingest { edges }) => {
                 // Ingests ride the same FIFO queue and the same quota as
@@ -504,18 +521,23 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                     continue;
                 }
                 slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                arrived.push(Pending::Ingest(PendingIngest { client: Arc::clone(slot), edges }));
+                let pending = Pending::Ingest(PendingIngest {
+                    client: Arc::clone(slot),
+                    edges,
+                    enqueued: Instant::now(),
+                });
+                let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
+                queue.push_back(pending);
+                // Notify under the admission lock; see the Query arm.
+                shared.admit_cv.notify_all();
             }
             Ok(protocol::Request::Stats) => {
-                admit(shared, &mut arrived);
                 slot.write_line(&shared.stats_text());
             }
             Ok(protocol::Request::Ping) => {
-                admit(shared, &mut arrived);
                 slot.write_line("pong");
             }
             Ok(protocol::Request::Shutdown) => {
-                admit(shared, &mut arrived);
                 slot.write_line("bye");
                 shared.begin_shutdown();
                 disconnected = false;
@@ -536,20 +558,6 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
     }
 }
 
-/// Moves a reader's parsed requests onto the admission queue in one
-/// critical section, in arrival order.
-fn admit(shared: &Shared, arrived: &mut Vec<Pending>) {
-    if arrived.is_empty() {
-        return;
-    }
-    let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
-    queue.extend(arrived.drain(..));
-    // Notify while still holding the admission lock (see `begin_shutdown`):
-    // dropping the guard first would let the dispatcher check its predicate
-    // and park between our push and this wakeup, losing the notification.
-    shared.admit_cv.notify_all();
-}
-
 /// One homogeneous run drained from the admission queue: either a query
 /// batch for the engine or a run of edge-batch mutations to apply at this
 /// batch boundary.
@@ -558,18 +566,22 @@ enum Collected {
     Ingests(Vec<PendingIngest>),
 }
 
-/// Dispatcher loop: take the next homogeneous run, run queries through the
-/// engine (read lock) or apply mutations (write lock), stream the answers
-/// back; exit once shutdown is flagged and the queue is drained.
+/// Dispatcher loop: wait for a flush trigger, drain a homogeneous run,
+/// run queries through the engine (read lock) or apply mutations (write
+/// lock), stream the answers back.
 fn dispatcher_loop(shared: &Arc<Shared>) {
-    while let Some(collected) = collect_batch(shared) {
-        let batch = match collected {
+    loop {
+        let batch = match collect_batch(shared) {
             Collected::Ingests(batch) => {
                 apply_ingests(shared, batch);
                 continue;
             }
             Collected::Queries(batch) => batch,
         };
+        if batch.is_empty() {
+            // Shutdown is flagged and the queue is drained.
+            break;
+        }
         let queries: Vec<QuerySpec> = batch.iter().map(|p| p.query).collect();
         // Hold the read lock across the whole batch: the graph every query
         // of this batch sees is the one collect_batch's boundary admitted.
@@ -625,50 +637,84 @@ fn apply_ingests(shared: &Arc<Shared>, batch: Vec<PendingIngest>) {
     }
 }
 
-/// Group commit: blocks until the queue is non-empty, then drains one
-/// homogeneous run from its front — every consecutive ingest (each
-/// mutation run is its own batch boundary), or up to
-/// [`ServerConfig::admit_max`] consecutive queries. Nothing waits for a
-/// batch to fill: a lone request is taken at once, and whatever queues
-/// while the dispatcher is busy is taken next. Returns `None` once
-/// shutdown is flagged and the queue is empty.
+/// Blocks until a flush trigger fires, then drains one homogeneous run
+/// from the queue front: consecutive ingests are returned immediately
+/// (each mutation run is its own batch boundary), consecutive queries once
+/// the size or timer trigger fires — or at once when an ingest is queued
+/// behind them, since the mutation cannot apply until the queries ahead of
+/// it have run. Returns an empty query batch only once shutdown is flagged
+/// and the queue is empty, which ends the dispatcher.
 ///
 /// During shutdown the queue still drains in homogeneous runs (not one
 /// final mixed batch): queries accepted before a pending mutation must run
 /// against the pre-mutation graph.
-fn collect_batch(shared: &Arc<Shared>) -> Option<Collected> {
+fn collect_batch(shared: &Arc<Shared>) -> Collected {
+    let config = &shared.config;
+    // relaxed: flush-trigger tallies are statistics only (see `stats_text`).
     let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
-    // Every enqueue and `begin_shutdown` notify under this lock, so no
-    // wake-up is lost between the check and the wait.
-    while queue.is_empty() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return None;
+    loop {
+        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
+        if matches!(queue.front(), Some(Pending::Ingest(_))) {
+            let mut batch = Vec::new();
+            while matches!(queue.front(), Some(Pending::Ingest(_))) {
+                if let Some(Pending::Ingest(ingest)) = queue.pop_front() {
+                    batch.push(ingest);
+                }
+            }
+            return Collected::Ingests(batch);
         }
-        queue = shared.admit_cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
-    }
-    if matches!(queue.front(), Some(Pending::Ingest(_))) {
-        let mut batch = Vec::new();
-        while matches!(queue.front(), Some(Pending::Ingest(_))) {
-            if let Some(Pending::Ingest(ingest)) = queue.pop_front() {
-                batch.push(ingest);
+        // The front run is all queries (possibly the whole queue).
+        let run = queue.iter().take_while(|p| matches!(p, Pending::Query(_))).count();
+        let boundary_behind = run < queue.len();
+        if shutting_down {
+            // Drain the whole front run so every accepted request is
+            // answered before the socket goes away (the loop comes back
+            // for whatever sits behind the boundary).
+            let batch = drain_queries(&mut queue, run);
+            return Collected::Queries(batch);
+        }
+        match queue.front() {
+            Some(front) => {
+                let age = front.enqueued().elapsed();
+                if run >= config.admit_max || boundary_behind || age >= config.admit_window {
+                    if run >= config.admit_max || boundary_behind {
+                        // An ingest waiting behind the run counts as a size
+                        // flush: the boundary, not the timer, forced it.
+                        shared.counters.size_flushes.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        shared.counters.timer_flushes.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let take = run.min(config.admit_max);
+                    return Collected::Queries(drain_queries(&mut queue, take));
+                }
+                let remaining = config.admit_window - age;
+                let (guard, _) = shared
+                    .admit_cv
+                    .wait_timeout(queue, remaining)
+                    .unwrap_or_else(PoisonError::into_inner);
+                queue = guard;
+            }
+            None => {
+                // Nothing pending: sleep until a reader enqueues or shutdown
+                // is flagged. Both notify under this lock, so no wake-up is
+                // lost between the check above and this wait.
+                queue = shared.admit_cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
             }
         }
-        return Some(Collected::Ingests(batch));
     }
-    let mut batch = Vec::new();
-    while batch.len() < shared.config.admit_max && matches!(queue.front(), Some(Pending::Query(_)))
-    {
+}
+
+/// Drains up to `take` consecutive queries from the queue front, stopping
+/// at the first non-query entry (the caller has already verified the front
+/// run is at least `take` queries long, so this drains exactly `take`).
+fn drain_queries(queue: &mut VecDeque<Pending>, take: usize) -> Vec<PendingQuery> {
+    let mut batch = Vec::with_capacity(take);
+    while batch.len() < take && matches!(queue.front(), Some(Pending::Query(_))) {
         if let Some(Pending::Query(query)) = queue.pop_front() {
             batch.push(query);
         }
     }
-    if !queue.is_empty() {
-        // A size flush: `admit_max` or an ingest queued behind the run cut
-        // the batch short.
-        // relaxed: flush tallies are statistics only (see `stats_text`).
-        shared.counters.size_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-    Some(Collected::Queries(batch))
+    batch
 }
 
 #[cfg(test)]
@@ -685,8 +731,6 @@ mod tests {
 
     fn connect(path: &Path) -> (BufReader<UnixStream>, UnixStream) {
         let stream = UnixStream::connect(path).expect("connect");
-        // A dispatcher that never wakes fails the test instead of hanging it.
-        stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("timeout");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         (reader, stream)
     }
@@ -703,20 +747,15 @@ mod tests {
         line.trim_end().to_string()
     }
 
-    /// Spins until `done` holds. The tests that hold the engine's write
-    /// lock to keep the dispatcher busy poll state with this, not with
-    /// `stats_text`, which waits for that lock.
-    fn spin_until(mut done: impl FnMut() -> bool) {
-        while !done() {
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
     fn bind_query_stats_shutdown_round_trip() {
         let path = temp_socket("lib_roundtrip");
         let engine = QueryEngine::new(figure1_graph());
-        let config = ServerConfig { admit_max: 4, ..ServerConfig::default() };
+        let config = ServerConfig {
+            admit_max: 4,
+            admit_window: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
         let handle = Server::bind(engine, &path, config).unwrap();
         let (s, t, w) = figure1_query();
 
@@ -784,7 +823,11 @@ mod tests {
     #[test]
     fn ingest_applies_at_a_batch_boundary_and_bumps_the_epoch() {
         let path = temp_socket("lib_ingest");
-        let config = ServerConfig { admit_max: 4, ..ServerConfig::default() };
+        let config = ServerConfig {
+            admit_max: 4,
+            admit_window: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
         let handle = Server::bind(QueryEngine::new(figure1_graph()), &path, config).unwrap();
         let (s, t, w) = figure1_query();
         let (mut reader, mut stream) = connect(&path);
@@ -819,7 +862,11 @@ mod tests {
     #[test]
     fn answers_for_one_client_arrive_in_request_order() {
         let path = temp_socket("lib_order");
-        let config = ServerConfig { admit_max: 3, ..ServerConfig::default() };
+        let config = ServerConfig {
+            admit_max: 3,
+            admit_window: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
         let handle = Server::bind(QueryEngine::new(figure1_graph()), &path, config).unwrap();
         let (s, t, _) = figure1_query();
         let (mut reader, mut stream) = connect(&path);
@@ -838,140 +885,5 @@ mod tests {
         let report = handle.join();
         assert_eq!(report.totals.queries, 10);
         assert!(report.batches >= 2, "a 10-burst through admit_max=3 spans batches");
-    }
-
-    /// With `quota = 1` and the dispatcher held busy, a second pipelined
-    /// request deterministically exceeds the quota: it is answered with a
-    /// tagged error line, while the admitted request is still answered on
-    /// the shutdown drain.
-    #[test]
-    fn quota_exceeded_requests_get_a_tagged_error_line() {
-        let socket = temp_socket("quota");
-        let config = ServerConfig { quota: 1, ..ServerConfig::default() };
-        let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
-        let (s, t, w) = figure1_query();
-        let q = QuerySpec::new(s, t, w);
-
-        // While the test holds the write lock, request 0 cannot be answered
-        // (and its quota slot released) before request 1 is judged.
-        let engine = handle.shared.engine.write().unwrap();
-        let (mut reader, mut stream) = connect(&socket);
-        send(&mut stream, &protocol::format_query(0, &q));
-        send(&mut stream, &protocol::format_query(1, &q));
-        send(&mut stream, "shutdown");
-
-        // Deterministic reply order: the reader rejects request 1 inline and
-        // acknowledges the shutdown; the dispatcher then drains request 0.
-        let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
-        let protocol::Response::Error { id, message } = reply else { panic!("{reply:?}") };
-        assert_eq!(id, Some(1));
-        assert!(message.contains("quota"), "{message}");
-        assert_eq!(read_line(&mut reader), "bye");
-        drop(engine);
-        let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
-        let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
-        assert_eq!(payload.id, 0);
-        assert_eq!(payload.edges.len(), 4, "the admitted request is answered on the drain");
-
-        let report = handle.join();
-        assert_eq!(report.quota_rejections, 1);
-        assert_eq!(report.responses, 1);
-    }
-
-    /// A client that disconnects between admission and dispatch has its
-    /// computed answers dropped; the batch, the dispatcher and every other
-    /// client are unaffected.
-    #[test]
-    fn client_disconnect_mid_batch_drops_its_answers_without_poisoning_the_dispatcher() {
-        let socket = temp_socket("disconnect");
-        let handle =
-            Server::bind(QueryEngine::new(figure1_graph()), &socket, ServerConfig::default())
-                .unwrap();
-        let (s, t, w) = figure1_query();
-        let q = QuerySpec::new(s, t, w);
-
-        // Nothing is answered while the test holds the write lock.
-        let engine = handle.shared.engine.write().unwrap();
-        // Client A enqueues two requests. A reader handles its lines in
-        // order, so the `pong` proves both are queued.
-        let (mut reader_a, mut stream_a) = connect(&socket);
-        send(&mut stream_a, &protocol::format_query(0, &q));
-        send(&mut stream_a, &protocol::format_query(1, &q));
-        send(&mut stream_a, "ping");
-        assert_eq!(read_line(&mut reader_a), "pong");
-        // Survivor client B enqueues behind them.
-        let (mut reader_b, mut stream_b) = connect(&socket);
-        send(&mut stream_b, &protocol::format_query(7, &q));
-        send(&mut stream_b, "ping");
-        assert_eq!(read_line(&mut reader_b), "pong");
-        // A vanishes. Once the server has noticed, release the dispatcher:
-        // every batch it runs sees A marked gone.
-        drop(reader_a);
-        drop(stream_a);
-        // relaxed: a test poll of a monotone counter.
-        spin_until(|| handle.shared.counters.clients_gone.load(Ordering::Relaxed) == 1);
-        drop(engine);
-
-        // B's answer arrives; A's are computed and dropped.
-        let reply = protocol::parse_response(&read_line(&mut reader_b)).unwrap();
-        let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
-        assert_eq!(payload.id, 7);
-        assert_eq!(payload.edges.len(), 4);
-
-        // The dispatcher survived: a second round through B still works.
-        send(&mut stream_b, &protocol::format_query(8, &q));
-        let reply = protocol::parse_response(&read_line(&mut reader_b)).unwrap();
-        let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
-        assert_eq!(payload.id, 8);
-
-        handle.shutdown();
-        let report = handle.join();
-        assert_eq!(report.dropped, 2, "both of A's answers were dropped");
-        assert_eq!(report.responses, 2, "both of B's answers were written");
-        assert_eq!(report.totals.queries, 4, "dropped answers are still computed");
-    }
-
-    /// Group commit: queries that queue while a batch runs are answered in
-    /// the batches that follow it, each at most `admit_max` queries deep.
-    #[test]
-    fn queries_queued_during_a_batch_run_in_batches_of_at_most_admit_max() {
-        let socket = temp_socket("lib_group_commit");
-        let config = ServerConfig { admit_max: 3, ..ServerConfig::default() };
-        let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
-        let (s, t, w) = figure1_query();
-        let q = QuerySpec::new(s, t, w);
-        let (mut reader, mut stream) = connect(&socket);
-
-        let engine = handle.shared.engine.write().unwrap();
-        // Request 0 is queued before the `pong`; once the queue is empty
-        // again, the dispatcher has taken it alone and waits for the engine.
-        send(&mut stream, &protocol::format_query(0, &q));
-        send(&mut stream, "ping");
-        assert_eq!(read_line(&mut reader), "pong");
-        spin_until(|| handle.shared.admission.lock().unwrap().is_empty());
-        // Ten more queue up behind that running batch.
-        for id in 1..=10 {
-            send(&mut stream, &protocol::format_query(id, &q));
-        }
-        send(&mut stream, "ping");
-        assert_eq!(read_line(&mut reader), "pong");
-        assert_eq!(handle.shared.admission.lock().unwrap().len(), 10);
-        drop(engine);
-
-        for want in 0..=10u64 {
-            let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
-            let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
-            assert_eq!(payload.id, want, "FIFO admission must preserve per-client order");
-            assert_eq!(payload.edges.len(), 4);
-        }
-        // relaxed: every batch was answered above, so its tally is final.
-        let size_flushes = handle.shared.counters.size_flushes.load(Ordering::Relaxed);
-        handle.shutdown();
-        let report = handle.join();
-        // {0}, then the ten queued queries as 3 + 3 + 3 + 1; the first
-        // three of those left queries queued behind them.
-        assert_eq!(report.batches, 5, "{report:?}");
-        assert_eq!(report.totals.queries, 11);
-        assert_eq!(size_flushes, 3);
     }
 }

@@ -1,8 +1,9 @@
 //! `tspg-server` — resident serving frontend over a unix domain socket.
 //!
 //! ```text
-//! tspg-server <edge-list> --socket PATH [--admit-max N] [--quota N]
-//!             [--threads N] [--cache-size N] [--profile-cache-size N]
+//! tspg-server <edge-list> --socket PATH [--admit-max N] [--admit-window-ms T]
+//!             [--quota N] [--threads N] [--cache-size N]
+//!             [--profile-cache-size N]
 //! ```
 //!
 //! Loads the edge list once, builds one [`QueryEngine`] and serves the
@@ -16,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Duration;
 use tspg_core::{CacheConfig, ProfileCacheConfig, QueryEngine};
 use tspg_graph::io;
 use tspg_server::{Server, ServerConfig};
@@ -33,12 +35,19 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:\n  tspg-server <edge-list> --socket PATH [--admit-max N] \
-                     [--quota N]\n              [--threads N] [--cache-size N] \
-                     [--profile-cache-size N]";
+                     [--admit-window-ms T]\n              [--quota N] [--threads N] \
+                     [--cache-size N] [--profile-cache-size N]";
 
 /// Every flag `run` reads; any other is rejected before the graph loads.
-const FLAGS: &[&str] =
-    &["socket", "admit-max", "quota", "threads", "cache-size", "profile-cache-size"];
+const FLAGS: &[&str] = &[
+    "socket",
+    "admit-max",
+    "admit-window-ms",
+    "quota",
+    "threads",
+    "cache-size",
+    "profile-cache-size",
+];
 
 fn run(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--help" || a == "-h" || a == "help") {
@@ -58,6 +67,10 @@ fn run(args: &[String]) -> Result<(), String> {
         if config.admit_max == 0 {
             return Err("--admit-max must be at least 1".to_string());
         }
+    }
+    if let Some(v) = flags.get("admit-window-ms") {
+        let ms: u64 = parse_number(v, "admission window")?;
+        config.admit_window = Duration::from_millis(ms);
     }
     if let Some(v) = flags.get("quota") {
         config.quota = parse_number(v, "per-client quota")?;
@@ -104,8 +117,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let handle =
         Server::bind(engine, socket, config).map_err(|e| format!("cannot bind {socket}: {e}"))?;
     eprintln!(
-        "tspg-server: listening on {socket} (admit_max={}, quota={}, threads={})",
-        config.admit_max, config.quota, config.threads
+        "tspg-server: listening on {socket} (admit_max={}, admit_window={:?}, quota={}, \
+         threads={})",
+        config.admit_max, config.admit_window, config.quota, config.threads
     );
     // Blocks until a client sends the `shutdown` verb.
     let report = handle.join();
@@ -159,9 +173,12 @@ mod tests {
     fn unknown_flags_are_rejected_before_the_graph_is_read() {
         // The edge list does not exist: an error naming the flag proves the
         // flag was judged before the graph load was attempted.
-        for flag in ["--admit-windw-ms", "--admit-window-ms"] {
-            let err = run(&args(&["missing.txt", "--socket", "s.sock", flag, "5"])).unwrap_err();
-            assert_eq!(err, format!("unknown flag {flag}"));
-        }
+        let err = run(&args(&["missing.txt", "--socket", "s.sock", "--admit-windw-ms", "5"]))
+            .unwrap_err();
+        assert_eq!(err, "unknown flag --admit-windw-ms");
+        // A known flag gets as far as the graph load.
+        let err = run(&args(&["missing.txt", "--socket", "s.sock", "--admit-window-ms", "5"]))
+            .unwrap_err();
+        assert!(err.contains("missing.txt"), "{err}");
     }
 }

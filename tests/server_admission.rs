@@ -1,11 +1,9 @@
-//! Admission-path tests of the resident `tspg-server` over its socket: a
-//! lone query after idling, malformed lines, bad request ids and the
-//! `ingest` verb, plus the differential pin — answers served over the
-//! socket must be byte-identical to the sequential engine, whether one
-//! client sends the whole workload or four concurrent strangers interleave
-//! it. The cases that need a busy dispatcher (quotas, mid-batch
-//! disconnects, queries queued behind a running batch) hold the engine
-//! lock, so they live in `tspg-server`'s own test module.
+//! Admission-path tests of the resident `tspg-server`: the edge cases of
+//! the micro-batching dispatcher (a lone query after idling, per-client
+//! quotas, malformed lines, mid-batch disconnects) plus the differential
+//! pin — answers served over the socket must be byte-identical to the
+//! sequential engine, whether one client sends the whole workload or four
+//! concurrent strangers interleave it.
 
 mod common;
 
@@ -51,17 +49,21 @@ fn stat(stats: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// Group commit never waits for a batch to fill: with `admit_max` far
-/// above the traffic, a lone query is answered at once, and again after
-/// the dispatcher has gone back to waiting on an empty queue.
+/// With nothing pending the dispatcher sleeps until a request arrives. A
+/// lone query that far undershoots `admit_max` is then flushed by the
+/// window, and again after the dispatcher has gone back to sleep.
 #[test]
 fn a_lone_query_after_idling_is_answered_with_a_deep_admit_max() {
     let socket = temp_socket("idle");
-    let config = ServerConfig { admit_max: 1024, ..ServerConfig::default() };
+    let config = ServerConfig {
+        admit_max: 1024,
+        admit_window: Duration::from_millis(1),
+        ..ServerConfig::default()
+    };
     let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
     let (s, t, w) = figure1_query();
     let (mut reader, mut stream) = connect(&socket);
-    // A lost wake-up would leave the dispatcher parked for good; the read
+    // A lost wake-up would leave the dispatcher asleep for good; the read
     // timeout turns that hang into a failure.
     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
 
@@ -75,11 +77,53 @@ fn a_lone_query_after_idling_is_answered_with_a_deep_admit_max() {
         assert_eq!(payload.id, id);
         assert_eq!(payload.edges.len(), 4);
     }
+    let stats = handle.stats_text();
+    assert_eq!(stat(&stats, "timer_flushes"), 2, "only the window flushes a lone query: {stats}");
 
     handle.shutdown();
     let report = handle.join();
     assert_eq!(report.responses, 2);
     assert_eq!(report.batches, 2, "each lone query ran as its own batch");
+}
+
+/// With `quota = 1` and an admission window far longer than the test, a
+/// second pipelined request deterministically exceeds the quota: it is
+/// answered with a tagged error line, while the admitted request is still
+/// answered on the shutdown drain.
+#[test]
+fn quota_exceeded_requests_get_a_tagged_error_line() {
+    let socket = temp_socket("quota");
+    let config = ServerConfig {
+        quota: 1,
+        // Longer than the test: the first request cannot be answered (and
+        // its quota slot released) before the second one is judged.
+        admit_window: Duration::from_secs(30),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
+    let (s, t, w) = figure1_query();
+    let q = QuerySpec::new(s, t, w);
+
+    let (mut reader, mut stream) = connect(&socket);
+    send(&mut stream, &protocol::format_query(0, &q));
+    send(&mut stream, &protocol::format_query(1, &q));
+    send(&mut stream, "shutdown");
+
+    // Deterministic reply order: the reader rejects request 1 inline and
+    // acknowledges the shutdown; the dispatcher then drains request 0.
+    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+    let protocol::Response::Error { id, message } = reply else { panic!("{reply:?}") };
+    assert_eq!(id, Some(1));
+    assert!(message.contains("quota"), "{message}");
+    assert_eq!(read_line(&mut reader), "bye");
+    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+    let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
+    assert_eq!(payload.id, 0);
+    assert_eq!(payload.edges.len(), 4, "the admitted request is answered on the drain");
+
+    let report = handle.join();
+    assert_eq!(report.quota_rejections, 1);
+    assert_eq!(report.responses, 1);
 }
 
 /// Malformed request lines are the client's bug, not the server's: each
@@ -123,6 +167,56 @@ fn malformed_lines_are_answered_and_do_not_stop_the_server() {
     assert_eq!(report.malformed, 3);
     assert_eq!(report.responses, 1);
     assert_eq!(report.totals.queries, 1, "malformed lines never reach the engine");
+}
+
+/// A client that disconnects between admission and dispatch has its
+/// computed answers dropped; the batch, the dispatcher and every other
+/// client are unaffected.
+#[test]
+fn client_disconnect_mid_batch_drops_its_answers_without_poisoning_the_dispatcher() {
+    let socket = temp_socket("disconnect");
+    let config = ServerConfig {
+        // Wide enough that the flush deterministically happens after the
+        // disconnecting client is gone.
+        admit_window: Duration::from_millis(300),
+        ..ServerConfig::default()
+    };
+    let handle = Server::bind(QueryEngine::new(figure1_graph()), &socket, config).unwrap();
+    let (s, t, w) = figure1_query();
+    let q = QuerySpec::new(s, t, w);
+
+    // Client A enqueues two requests and vanishes before the window closes.
+    let (_reader_a, mut stream_a) = connect(&socket);
+    send(&mut stream_a, &protocol::format_query(0, &q));
+    send(&mut stream_a, &protocol::format_query(1, &q));
+    // Survivor client B enqueues into the same admission batch.
+    let (mut reader_b, mut stream_b) = connect(&socket);
+    send(&mut stream_b, &protocol::format_query(7, &q));
+    drop(_reader_a);
+    drop(stream_a);
+    // Wait until the server has noticed the disconnect, so the flush that
+    // follows sees A marked gone.
+    while stat(&handle.stats_text(), "clients_gone") == 0 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // B's answer arrives; A's are computed and dropped.
+    let reply = protocol::parse_response(&read_line(&mut reader_b)).unwrap();
+    let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
+    assert_eq!(payload.id, 7);
+    assert_eq!(payload.edges.len(), 4);
+
+    // The dispatcher survived: a second round through B still works.
+    send(&mut stream_b, &protocol::format_query(8, &q));
+    let reply = protocol::parse_response(&read_line(&mut reader_b)).unwrap();
+    let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
+    assert_eq!(payload.id, 8);
+
+    handle.shutdown();
+    let report = handle.join();
+    assert_eq!(report.dropped, 2, "both of A's answers were dropped");
+    assert_eq!(report.responses, 2, "both of B's answers were written");
+    assert_eq!(report.totals.queries, 4, "dropped answers are still computed");
 }
 
 /// The `ingest` verb end to end: a query, an answer-changing edge batch,
@@ -205,7 +299,11 @@ fn server_answers_match_the_sequential_engine_across_the_client_grid() {
 
     for num_clients in [1usize, 4] {
         let socket = temp_socket(&format!("grid{num_clients}"));
-        let config = ServerConfig { admit_max: 8, ..ServerConfig::default() };
+        let config = ServerConfig {
+            admit_max: 8,
+            admit_window: Duration::from_millis(1),
+            ..ServerConfig::default()
+        };
         let handle = Server::bind(QueryEngine::new(graph.clone()), &socket, config).unwrap();
 
         // Client c pipelines queries c, c + n, c + 2n, ... tagged with
