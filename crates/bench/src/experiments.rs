@@ -598,7 +598,7 @@ pub fn exp10_serving(cfg: &HarnessConfig, threads: usize, cache_entries: usize) 
 /// * **envelope** — the default planner: each overlap chain collapses into
 ///   synthesized envelope units (cost guard `k = 2`, four windows per
 ///   envelope) whose full-graph runs answer every member from their tspGs,
-///   with the members individually stealable across the worker threads.
+///   on the worker that ran the envelope.
 ///
 /// The table reports wall-clock for the three arms, the envelope arm's
 /// plan counters, and an `identical` column cross-checking that all three

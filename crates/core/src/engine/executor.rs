@@ -1,43 +1,27 @@
-//! Work-stealing execution of a [`BatchPlan`]
-//! with individually claimable followers.
+//! Execution of a [`BatchPlan`]: one job loop for every thread count.
 //!
-//! PR 2's `run_batch` split the query list into contiguous chunks, one per
-//! worker. That balances *counts*, not *costs*: one chunk holding the few
-//! expensive queries of a skewed batch leaves every other worker idle while
-//! its owner grinds. PR 3 replaced chunking with a single atomic cursor
-//! over the plan's units — but a unit's followers still ran serially on the
-//! worker that claimed the unit, so one hot query with very many narrowed
-//! repeats could tail-load a single worker while the rest sat idle.
+//! The plan's units are packed into *jobs*, in first-unit order: one job
+//! per profile group, holding its member units, and one job per ungrouped
+//! unit. Workers claim jobs off one atomic cursor and run each job whole on
+//! their own warm [`QueryScratch`]:
 //!
-//! This executor closes that skew tail. Work is split into two kinds of
-//! items:
+//! * a group's [`ArrivalProfile`] is fetched once, through
+//!   `QueryEngine::profile_for` (the resident profile cache, else one
+//!   target-agnostic forward pass over the group's hull), and every member
+//!   unit clamps it at its own window;
+//! * each unit's followers are answered right after the unit, by re-running
+//!   the pipeline on the unit's compacted tspG.
 //!
-//! * **Units** — claimed off an atomic cursor as before. Running a unit
-//!   executes its query against the full graph; if the unit has followers
-//!   the worker then *publishes* the unit's tspG (materialized once, into a
-//!   `OnceLock`) before moving on to the next unit.
-//! * **Followers** — once a unit's tspG is published, each of its followers
-//!   is an independent work item: any worker whose unit cursor has run dry
-//!   claims followers one at a time (per-unit atomic cursors) and answers
-//!   them by re-running the pipeline on the published tspG out of its own
-//!   scratch.
-//!
-//! Full-graph runs are the expensive items, so workers always prefer an
-//! unclaimed unit over follower stealing; followers (tspG-sized, tiny) soak
-//! up the idle tail once the units are all claimed. A worker that finds
-//! neither — every remaining follower belongs to a unit still executing —
-//! yields and re-scans until the outstanding-follower count hits zero.
-//!
-//! The worker count is clamped to the number of pending work items (units
-//! plus followers), so tiny batches stop paying thread start-up for workers
-//! that would find every cursor already exhausted.
+//! Nothing one job computes is needed by another, so no worker ever waits
+//! on another. The calling thread is worker 0, beside
+//! `min(threads, jobs) − 1` scoped helpers: a one-job batch spawns no
+//! thread, and a panic in any worker reaches the caller through the scope.
 
-use crate::engine::planner::{BatchPlan, PlanUnit};
+use crate::engine::planner::{BatchPlan, PlanUnit, ProfileGroup};
 use crate::engine::{generate_tspg_scratch, QueryEngine, QueryScratch, QuerySpec};
 use crate::polarity::ArrivalProfile;
 use crate::vug::{VugReport, VugResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 use tspg_graph::{EdgeSet, TemporalGraph, VertexId};
 
 /// The results of one executed [`PlanUnit`]: the unit query's own result
@@ -118,255 +102,86 @@ impl SharedTspg {
     }
 }
 
+/// One claimable piece of a plan, run whole by the worker that claims it.
+enum Job<'p> {
+    /// A profile group: its member units share one arrival profile.
+    Group(&'p ProfileGroup),
+    /// An ungrouped unit, by index into [`BatchPlan::units`].
+    Unit(usize),
+}
+
+/// Packs the plan's units into jobs, ordered by each job's first unit.
+fn pack_jobs(plan: &BatchPlan) -> Vec<Job<'_>> {
+    let groups = plan.profile_groups();
+    let mut packed = vec![false; groups.len()];
+    let mut jobs = Vec::with_capacity(plan.num_units());
+    for index in 0..plan.num_units() {
+        match plan.unit_profile_group_index(index) {
+            None => jobs.push(Job::Unit(index)),
+            Some(group) if !packed[group] => {
+                packed[group] = true;
+                jobs.push(Job::Group(&groups[group]));
+            }
+            Some(_) => {}
+        }
+    }
+    jobs
+}
+
 /// Executes every unit of a plan across at most `threads` workers and
 /// returns the outcomes in unit order.
-///
-/// Units the planner put into a same-source profile group run through
-/// [`QueryEngine::run_with_profile`]: the first member to execute obtains
-/// the group's arrival profile — from the engine's profile cache when a
-/// resident profile covers the hull, else by one target-agnostic forward
-/// pass — and *publishes* it via `OnceLock` (mirroring the tspG
-/// publication below); every other member clamps the published profile at
-/// its own window instead of re-running the forward BFS.
 pub(crate) fn execute(engine: &QueryEngine, plan: &BatchPlan, threads: usize) -> Vec<UnitOutcome> {
-    let units = plan.units();
-    let num_followers: usize = units.iter().map(|u| u.followers.len()).sum();
-    let threads = threads.clamp(1, (units.len() + num_followers).max(1));
-    if threads == 1 {
-        let profiles = SharedProfiles::new(engine, plan);
+    let jobs = pack_jobs(plan);
+    let cursor = AtomicUsize::new(0);
+    let work = || {
         let mut scratch = engine.checkout_scratch();
-        let outcomes = units
-            .iter()
-            .enumerate()
-            .map(|(index, u)| execute_unit(engine, u, profiles.for_unit(index), &mut scratch))
-            .collect();
+        let mut done = Vec::new();
+        // relaxed: the cursor only hands out distinct job indices; the
+        // outcomes reach the caller through the scope's joins.
+        while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            run_job(engine, plan, job, &mut scratch, &mut done);
+        }
         engine.return_scratch(scratch);
-        return outcomes;
-    }
-
-    let pool = WorkPool::new(engine, plan, num_followers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let pool = &pool;
-                scope.spawn(move || {
-                    // A worker that panics mid-unit never completes its
-                    // unit's followers, so without poisoning the surviving
-                    // workers would wait on the outstanding-follower count
-                    // forever instead of letting the panic propagate at
-                    // join time.
-                    let _poison = PoisonOnPanic(&pool.poisoned);
-                    let mut scratch = engine.checkout_scratch();
-                    pool.work(engine, &mut scratch);
-                    engine.return_scratch(scratch);
-                })
-            })
-            .collect();
+        done
+    };
+    let helpers = threads.clamp(1, jobs.len().max(1)) - 1;
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
         for handle in handles {
-            // Propagating a worker panic (rather than swallowing it and
-            // returning partial outcomes) is the intended behavior here.
-            // tspg-lint: allow(no-panic-in-server)
-            handle.join().expect("executor worker panicked");
+            done.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
         }
+        done
     });
-    pool.into_outcomes()
+    // Every unit belongs to exactly one job, so this is one outcome per
+    // unit, in unit order.
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
-/// The once-published arrival profiles of a plan's same-source groups.
-///
-/// Whoever first executes a member unit obtains the group's profile —
-/// through [`QueryEngine::profile_for`], which consults the resident
-/// profile cache before running the target-agnostic forward pass over the
-/// hull window — inside `OnceLock::get_or_init`; concurrent members of the
-/// same group block on that initialization — acceptable, because the
-/// profile is a fraction of the full pipeline run each of them is about to
-/// perform, and every other group's units remain claimable by other
-/// workers. The slots hold `Arc`s because the same profile may be resident
-/// in the engine's cache across batches.
-struct SharedProfiles<'p> {
-    engine: &'p QueryEngine,
-    plan: &'p BatchPlan,
-    slots: Vec<OnceLock<Arc<ArrivalProfile>>>,
-}
-
-impl<'p> SharedProfiles<'p> {
-    fn new(engine: &'p QueryEngine, plan: &'p BatchPlan) -> Self {
-        let slots = (0..plan.profile_groups().len()).map(|_| OnceLock::new()).collect();
-        Self { engine, plan, slots }
-    }
-
-    /// The published profile of the unit's group (obtaining and publishing
-    /// it first if this is the group's first executing member), or `None`
-    /// for ungrouped units.
-    fn for_unit(&self, index: usize) -> Option<&Arc<ArrivalProfile>> {
-        let group_index = self.plan.unit_profile_group_index(index)?;
-        let group = &self.plan.profile_groups()[group_index];
-        Some(
-            self.slots[group_index]
-                .get_or_init(|| self.engine.profile_for(group.source, group.window)),
-        )
+/// Runs one job on `scratch`, appending each unit's outcome under its unit
+/// index. A group's profile is fetched once for all its members.
+fn run_job(
+    engine: &QueryEngine,
+    plan: &BatchPlan,
+    job: &Job,
+    scratch: &mut QueryScratch,
+    done: &mut Vec<(usize, UnitOutcome)>,
+) {
+    let (units, profile) = match job {
+        Job::Group(group) => {
+            (group.units.as_slice(), Some(engine.profile_for(group.source, group.window)))
+        }
+        Job::Unit(index) => (std::slice::from_ref(index), None),
+    };
+    for &index in units {
+        let outcome = execute_unit(engine, &plan.units()[index], profile.as_deref(), scratch);
+        done.push((index, outcome));
     }
 }
 
-/// Shared state of one parallel batch execution: result slots for every
-/// unit and follower, the published tspGs and profiles, and the claim
-/// cursors.
-struct WorkPool<'p> {
-    units: &'p [PlanUnit],
-    /// The plan's profile groups, published on first member execution.
-    profiles: SharedProfiles<'p>,
-    /// Cursor over `units`; claiming past the end means "go steal".
-    unit_cursor: AtomicUsize,
-    /// `mains[i]` receives unit `i`'s own result.
-    mains: Vec<OnceLock<VugResult>>,
-    /// Unit `i`'s tspG, compacted once its main run finished (only set for
-    /// units that have followers). Publishing this is what makes the
-    /// unit's followers stealable.
-    shared: Vec<OnceLock<SharedTspg>>,
-    /// Claim cursor over unit `i`'s followers.
-    follower_cursors: Vec<AtomicUsize>,
-    /// Flattened result slots for followers; unit `i`'s follower `j` lands
-    /// in `follower_results[follower_offsets[i] + j]`.
-    follower_offsets: Vec<usize>,
-    follower_results: Vec<OnceLock<VugResult>>,
-    /// Followers not yet *completed* (not merely claimed) — the workers'
-    /// termination condition.
-    outstanding_followers: AtomicUsize,
-    /// Set when a worker panics, so the survivors stop waiting for work
-    /// the dead worker can no longer publish and the panic reaches the
-    /// caller through `join` instead of hanging the batch.
-    poisoned: std::sync::atomic::AtomicBool,
-}
-
-/// Drop guard that flags the pool when its worker unwinds from a panic.
-struct PoisonOnPanic<'p>(&'p std::sync::atomic::AtomicBool);
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::Release);
-        }
-    }
-}
-
-impl<'p> WorkPool<'p> {
-    fn new(engine: &'p QueryEngine, plan: &'p BatchPlan, num_followers: usize) -> Self {
-        let units = plan.units();
-        let mut follower_offsets = Vec::with_capacity(units.len());
-        let mut offset = 0;
-        for unit in units {
-            follower_offsets.push(offset);
-            offset += unit.followers.len();
-        }
-        fn slots<T>(n: usize) -> Vec<OnceLock<T>> {
-            (0..n).map(|_| OnceLock::new()).collect()
-        }
-        Self {
-            units,
-            profiles: SharedProfiles::new(engine, plan),
-            unit_cursor: AtomicUsize::new(0),
-            mains: slots(units.len()),
-            shared: slots(units.len()),
-            follower_cursors: (0..units.len()).map(|_| AtomicUsize::new(0)).collect(),
-            follower_offsets,
-            follower_results: slots(num_followers),
-            outstanding_followers: AtomicUsize::new(num_followers),
-            poisoned: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// One worker's loop: drain the unit cursor, then steal followers until
-    /// none are outstanding.
-    fn work(&self, engine: &QueryEngine, scratch: &mut QueryScratch) {
-        loop {
-            // relaxed: the cursor only hands out distinct indices; result
-            // publication is ordered by the OnceLock slots, not the cursor.
-            let index = self.unit_cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(unit) = self.units.get(index) else { break };
-            let main = match self.profiles.for_unit(index) {
-                Some(profile) => engine.run_with_profile(unit.query, profile, scratch),
-                None => engine.run(unit.query, scratch),
-            };
-            if !unit.followers.is_empty() {
-                // Publish the compacted tspG *before* parking the main
-                // result; from this instant the unit's followers are
-                // fair game for every worker, this one included.
-                let _ = self.shared[index].set(SharedTspg::new(&unit.query, &main.tspg));
-            }
-            let _ = self.mains[index].set(main);
-        }
-        // No units left: steal followers until the batch is drained. A
-        // fruitless scan means every unclaimed follower belongs to a unit
-        // another worker is still executing; yield at first (publishes are
-        // usually imminent), then back off to short sleeps so workers
-        // waiting out one long full-graph run do not burn their cores —
-        // follower runs are tspG-sized, so 50µs of extra latency is noise.
-        let mut fruitless_scans = 0u32;
-        while self.outstanding_followers.load(Ordering::Acquire) != 0 {
-            if self.poisoned.load(Ordering::Acquire) {
-                break;
-            }
-            if self.steal_followers(engine, scratch) {
-                fruitless_scans = 0;
-            } else if fruitless_scans < 16 {
-                fruitless_scans += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
-
-    /// Scans every published unit for unclaimed followers and runs all it
-    /// can claim. Returns whether any follower was executed.
-    fn steal_followers(&self, engine: &QueryEngine, scratch: &mut QueryScratch) -> bool {
-        // relaxed: follower cursors only partition claims between workers;
-        // each claimed result is published via its OnceLock slot, and the
-        // drain condition rides on `outstanding_followers` (Release above,
-        // Acquire in `work`), not on cursor ordering.
-        let mut progressed = false;
-        for (index, unit) in self.units.iter().enumerate() {
-            if unit.followers.is_empty()
-                || self.follower_cursors[index].load(Ordering::Relaxed) >= unit.followers.len()
-            {
-                continue;
-            }
-            let Some(shared) = self.shared[index].get() else { continue };
-            loop {
-                let claimed = self.follower_cursors[index].fetch_add(1, Ordering::Relaxed);
-                let Some(follower) = unit.followers.get(claimed) else { break };
-                let result = shared.answer(&follower.query, engine, scratch);
-                let _ = self.follower_results[self.follower_offsets[index] + claimed].set(result);
-                self.outstanding_followers.fetch_sub(1, Ordering::Release);
-                progressed = true;
-            }
-        }
-        progressed
-    }
-
-    /// Collects the filled slots into per-unit outcomes (every slot is set
-    /// once the workers have joined).
-    fn into_outcomes(self) -> Vec<UnitOutcome> {
-        let mut follower_results = self.follower_results.into_iter();
-        self.units
-            .iter()
-            .zip(self.mains)
-            .map(|(unit, main)| UnitOutcome {
-                // tspg-lint: allow(no-panic-in-server) — see the doc comment: slots are full post-join
-                main: main.into_inner().expect("the unit cursor visits every unit"),
-                followers: follower_results
-                    .by_ref()
-                    .take(unit.followers.len())
-                    // tspg-lint: allow(no-panic-in-server) — same post-join invariant
-                    .map(|slot| slot.into_inner().expect("every follower is claimed and run"))
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
-/// Runs one unit serially: its own query on the full graph, then every
-/// follower on the unit's tspG (the single-worker path).
+/// Runs one unit: its own query on the full graph (clamping the group's
+/// profile, if any), then every follower on the unit's tspG.
 ///
 /// Correctness of the follower path: a follower's window is contained in
 /// the unit's window on the same `(s, t)` — by construction for both
@@ -379,7 +194,7 @@ impl<'p> WorkPool<'p> {
 fn execute_unit(
     engine: &QueryEngine,
     unit: &PlanUnit,
-    profile: Option<&Arc<ArrivalProfile>>,
+    profile: Option<&ArrivalProfile>,
     scratch: &mut QueryScratch,
 ) -> UnitOutcome {
     let main = match profile {

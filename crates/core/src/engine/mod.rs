@@ -17,14 +17,15 @@
 //!    **envelope unit** `[min begin, max end]` (cost-guarded; see
 //!    [`planner::PlannerConfig`]) whose single full-graph run answers every
 //!    member from its tspG.
-//! 2. **Execute** ([`executor`]): an atomic-cursor work-stealing loop runs
-//!    the plan's units across scoped worker threads, each worker reusing a
-//!    [`QueryScratch`] arena (zero steady-state allocation) drawn from the
-//!    engine's warm pool; once a unit's tspG is published its followers
-//!    become individually stealable work items. Units the planner grouped
-//!    by source share one [`ArrivalProfile`] forward pass (served from the
+//! 2. **Execute** ([`executor`]): the plan's units are packed into jobs —
+//!    one per same-source profile group, one per ungrouped unit — and
+//!    workers (the calling thread plus scoped helpers) claim whole jobs off
+//!    an atomic cursor, each reusing a [`QueryScratch`] arena (zero
+//!    steady-state allocation) drawn from the engine's warm pool. A group's
+//!    members share one [`ArrivalProfile`] forward pass (served from the
 //!    engine's resident [`cache::ProfileCache`] when a past batch already
-//!    profiled the source), clamped per member window.
+//!    profiled the source), clamped per member window, and each unit's
+//!    followers are answered right after it, on its tspG.
 //! 3. **Assemble**: results fan back out to the original query order
 //!    (`results[i]` answers `queries[i]`, always) and every freshly
 //!    computed result populates the [`cache::ResultCache`] for the next
@@ -855,10 +856,10 @@ impl QueryEngine {
     /// was first computed, and window-shared answers report the pipeline
     /// run over the covering tspG (hence e.g. a smaller `input_edges`).
     ///
-    /// Workers are scoped threads pulling plan units — and, once a unit's
-    /// tspG is published, its individual followers — off atomic cursors
-    /// (work stealing), so skewed per-query costs even out; the worker
-    /// count is clamped to the number of pending work items.
+    /// Workers — the calling thread plus scoped helpers — claim whole jobs
+    /// (a profile group's member units, or one ungrouped unit, each with
+    /// its followers) off an atomic cursor, so skewed per-job costs even
+    /// out; the worker count is clamped to the number of jobs.
     pub fn run_batch_with_stats(
         &self,
         queries: &[QuerySpec],
@@ -897,8 +898,8 @@ impl QueryEngine {
         stats.profile_groups = plan.profile_groups().len();
         stats.profile_answered = plan.profile_answered();
 
-        // Execute: work-stealing over the plan's units and, once a unit's
-        // tspG is published, its individual followers.
+        // Execute: workers claim whole jobs (profile groups and ungrouped
+        // units, each unit with its followers).
         let outcomes = executor::execute(self, &plan, threads);
 
         // Assemble: fan results back out to batch order and feed the cache.
@@ -1218,7 +1219,8 @@ mod tests {
         let (s, t, w) = figure1_query();
         let engine = QueryEngine::new(g).without_cache();
         // One wide unit with many followers (nested and overlapping), plus
-        // independent units, across thread counts that force stealing.
+        // independent units, across thread counts beyond the job count:
+        // a unit's followers run on the worker that claimed the unit.
         let mut queries = vec![QuerySpec::new(s, t, w), QuerySpec::new(t, s, w)];
         for i in 0..12 {
             let b = 2 + (i % 4);
@@ -1231,6 +1233,24 @@ mod tests {
                 assert_eq!(a.tspg, b.tspg, "threads={threads} query #{i}");
             }
         }
+    }
+
+    #[test]
+    fn a_one_job_batch_runs_on_one_worker_whatever_the_thread_count() {
+        let (s, t, w) = figure1_query();
+        let engine = QueryEngine::new(figure1_graph());
+        // Figure 1's query and narrower windows of the same (s, t): one unit
+        // with followers, so one job and one worker, whose scratch is the
+        // only one the pool receives.
+        let mut queries = vec![QuerySpec::new(s, t, w)];
+        for i in 0..12 {
+            let b = 2 + (i % 4);
+            queries.push(QuerySpec::new(s, t, TimeInterval::new(b, (b + 3).min(7))));
+        }
+        let (_, stats) = engine.run_batch_with_stats(&queries, 8);
+        assert_eq!(stats.pipeline_runs(), 1, "{stats:?}");
+        assert_eq!(stats.shared_answered + stats.dedup_answered, 12, "{stats:?}");
+        assert_eq!(engine.pooled_scratches(), 1);
     }
 
     #[test]

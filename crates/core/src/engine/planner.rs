@@ -277,13 +277,8 @@ impl BatchPlan {
         &self.profile_groups
     }
 
-    /// The profile group the unit at `index` belongs to, if any.
-    pub fn unit_profile_group(&self, index: usize) -> Option<&ProfileGroup> {
-        self.unit_profile_group_index(index).map(|g| &self.profile_groups[g])
-    }
-
     /// Index into [`BatchPlan::profile_groups`] of the unit's group, if
-    /// any (the executor keys its published profiles by this).
+    /// any (the executor packs a group's members into one job by this).
     pub fn unit_profile_group_index(&self, index: usize) -> Option<usize> {
         self.unit_group.get(index).copied().flatten()
     }
@@ -851,7 +846,6 @@ mod tests {
         assert_eq!(plan.profile_answered(), 3);
         for &index in &group.units {
             assert_eq!(plan.unit_profile_group_index(index), Some(0));
-            assert!(std::ptr::eq(plan.unit_profile_group(index).unwrap(), group));
         }
         // The (5, 6) unit is ungrouped (a single-unit bucket shares nothing).
         let lone = (0..plan.num_units())

@@ -25,9 +25,9 @@
 //! For answering **many** queries over one loaded graph, the [`engine`]
 //! module provides [`QueryEngine`]: batches go through a **plan → execute →
 //! assemble** pipeline — duplicate queries collapse, window-contained
-//! queries are answered from the covering query's tspG, execution is an
-//! atomic-cursor work-stealing loop across scoped threads (each worker
-//! reusing a [`QueryScratch`] arena, zero steady-state allocation), and an
+//! queries are answered from the covering query's tspG, execution hands
+//! whole jobs to workers off one atomic cursor (each worker reusing a
+//! [`QueryScratch`] arena, zero steady-state allocation), and an
 //! LRU [`engine::cache::ResultCache`] memoizes `(s, t, window)` → tspG
 //! across batches until edges are ingested. Result ordering stays
 //! deterministic throughout.

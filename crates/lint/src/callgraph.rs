@@ -371,7 +371,7 @@ mod tests {
     fn graph_of(files: &[(&str, &str)]) -> (LintContext, Vec<String>) {
         let files: Vec<SourceFile> =
             files.iter().map(|(p, s)| SourceFile::new((*p).into(), (*s).into())).collect();
-        let ctx = LintContext::from_parts(PathBuf::from("."), files, None);
+        let ctx = LintContext::from_parts(PathBuf::from("."), files);
         let names: Vec<String> = ctx.callgraph().nodes.iter().map(|n| n.name.clone()).collect();
         (ctx, names)
     }

@@ -3,13 +3,12 @@
 //! The workspace's performance and correctness story rests on invariants no
 //! compiler checks: the zero-steady-state-allocation rule for the `_into`
 //! pipeline, the notify-under-lock rule for the resident server's
-//! `Condvar`s, the no-panic discipline in serving code, justification
-//! comments on `Ordering::Relaxed` / `unsafe`, and the README stats
-//! glossary staying in sync with the counters the code emits. This crate
-//! turns each of those into a machine-checked rule over a lexical token
-//! stream (see [`tokens`]), producing `file:line:col` diagnostics with
-//! rendered excerpts (see [`diagnostics`]) and honoring
-//! `// tspg-lint: allow(<rule>)` suppression pragmas.
+//! `Condvar`s, the no-panic discipline in serving code, and justification
+//! comments on `Ordering::Relaxed` / `unsafe`. This crate turns each of
+//! those into a machine-checked rule over a lexical token stream (see
+//! [`tokens`]), producing `file:line:col` diagnostics with rendered
+//! excerpts (see [`diagnostics`]) and honoring `// tspg-lint: allow(<rule>)`
+//! suppression pragmas.
 //!
 //! Run it with `cargo run -p tspg-lint` from the repo root; it exits
 //! nonzero when any finding survives suppression filtering. The rules are
@@ -253,9 +252,6 @@ pub struct LintContext {
     /// All Rust sources under `<root>/crates/*/src/**` and
     /// `<root>/src/**`, sorted by relative path.
     pub files: Vec<SourceFile>,
-    /// Contents of `<root>/README.md`, when present (consumed by the
-    /// `stats-glossary-sync` rule).
-    pub readme: Option<String>,
     /// Pass-1 workspace call graph, built lazily on first use and shared
     /// by every flow-aware rule (see [`callgraph`]).
     graph: OnceLock<callgraph::CallGraph>,
@@ -265,8 +261,8 @@ impl LintContext {
     /// Assemble a context from pre-analyzed parts (rule unit tests build
     /// synthetic contexts this way; [`LintContext::load`] goes through it
     /// too so the lazy graph cell has exactly one initialization site).
-    pub fn from_parts(root: PathBuf, files: Vec<SourceFile>, readme: Option<String>) -> Self {
-        Self { root, files, readme, graph: OnceLock::new() }
+    pub fn from_parts(root: PathBuf, files: Vec<SourceFile>) -> Self {
+        Self { root, files, graph: OnceLock::new() }
     }
 
     /// The workspace call graph, built on first access and cached for the
@@ -301,8 +297,7 @@ impl LintContext {
             walk_rust_files(&root_src, root, &mut files)?;
         }
         files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-        let readme = std::fs::read_to_string(root.join("README.md")).ok();
-        Ok(Self::from_parts(root.to_path_buf(), files, readme))
+        Ok(Self::from_parts(root.to_path_buf(), files))
     }
 
     /// The loaded file with this lint-root-relative path, if any.

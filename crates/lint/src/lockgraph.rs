@@ -462,7 +462,7 @@ mod tests {
 
     fn graph_of(src: &str) -> LockGraph {
         let file = SourceFile::new("crates/server/src/lib.rs".into(), src.into());
-        let ctx = LintContext::from_parts(PathBuf::from("."), vec![file], None);
+        let ctx = LintContext::from_parts(PathBuf::from("."), vec![file]);
         LockGraph::build(&ctx)
     }
 
@@ -583,7 +583,7 @@ mod tests {
             "fn f(&self) { let a = self.alpha.lock().unwrap(); let b = self.beta.lock().unwrap(); }\n"
                 .into(),
         );
-        let ctx = LintContext::from_parts(PathBuf::from("."), vec![file], None);
+        let ctx = LintContext::from_parts(PathBuf::from("."), vec![file]);
         assert!(LockGraph::build(&ctx).edges.is_empty());
     }
 }

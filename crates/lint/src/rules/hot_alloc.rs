@@ -193,7 +193,7 @@ mod tests {
             "crates/server/src/x.rs".into(),
             "fn fill_into() { let v = Vec::new(); }\n".into(),
         );
-        let ctx = crate::LintContext::from_parts(std::path::PathBuf::from("."), vec![file], None);
+        let ctx = crate::LintContext::from_parts(std::path::PathBuf::from("."), vec![file]);
         assert!(HotAlloc.check(&ctx).is_empty());
     }
 }

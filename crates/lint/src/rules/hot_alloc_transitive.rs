@@ -127,7 +127,7 @@ mod tests {
     fn check(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let files: Vec<SourceFile> =
             files.iter().map(|(p, s)| SourceFile::new((*p).into(), (*s).into())).collect();
-        let ctx = LintContext::from_parts(PathBuf::from("."), files, None);
+        let ctx = LintContext::from_parts(PathBuf::from("."), files);
         HotAllocTransitive.check(&ctx)
     }
 

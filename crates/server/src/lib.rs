@@ -162,17 +162,15 @@ struct ClientSlot {
 }
 
 impl ClientSlot {
-    /// Writes one protocol line; on failure the client is marked gone so
-    /// the dispatcher stops composing answers for it.
-    fn write_line(&self, line: &str) -> bool {
+    /// Writes one protocol line, its `\n` appended so the line goes out in
+    /// one write; on failure the client is marked gone so the dispatcher
+    /// stops composing answers for it.
+    fn write_line(&self, mut line: String) -> bool {
+        line.push('\n');
         let Ok(mut writer) = self.writer.lock() else {
             return false;
         };
-        let ok = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok();
+        let ok = writer.write_all(line.as_bytes()).and_then(|()| writer.flush()).is_ok();
         if !ok {
             self.gone.store(true, Ordering::Release);
         }
@@ -486,7 +484,7 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
             Ok(protocol::Request::Query { id, query }) => {
                 if slot.in_flight.load(Ordering::Acquire) >= shared.config.quota {
                     shared.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
-                    slot.write_line(&protocol::format_error(
+                    slot.write_line(protocol::format_error(
                         Some(id),
                         &format!("quota exceeded ({} requests in flight)", shared.config.quota),
                     ));
@@ -514,7 +512,7 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                 // starve the admission queue either.
                 if slot.in_flight.load(Ordering::Acquire) >= shared.config.quota {
                     shared.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
-                    slot.write_line(&protocol::format_error(
+                    slot.write_line(protocol::format_error(
                         None,
                         &format!("quota exceeded ({} requests in flight)", shared.config.quota),
                     ));
@@ -532,13 +530,13 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                 shared.admit_cv.notify_all();
             }
             Ok(protocol::Request::Stats) => {
-                slot.write_line(&shared.stats_text());
+                slot.write_line(shared.stats_text());
             }
             Ok(protocol::Request::Ping) => {
-                slot.write_line("pong");
+                slot.write_line("pong".to_owned());
             }
             Ok(protocol::Request::Shutdown) => {
-                slot.write_line("bye");
+                slot.write_line("bye".to_owned());
                 shared.begin_shutdown();
                 disconnected = false;
                 break;
@@ -548,7 +546,7 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
                 // failure: reply (tagged when the id survived parsing) and
                 // keep serving the connection.
                 shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                slot.write_line(&protocol::format_error(id, &message));
+                slot.write_line(protocol::format_error(id, &message));
             }
         }
     }
@@ -600,7 +598,7 @@ fn dispatcher_loop(shared: &Arc<Shared>) {
                 shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            if pending.client.write_line(&protocol::format_result(pending.id, &result)) {
+            if pending.client.write_line(protocol::format_result(pending.id, &result)) {
                 shared.counters.responses.fetch_add(1, Ordering::Relaxed);
             } else {
                 shared.counters.dropped.fetch_add(1, Ordering::Relaxed);
@@ -628,7 +626,7 @@ fn apply_ingests(shared: &Arc<Shared>, batch: Vec<PendingIngest>) {
     for (client, epoch, edges) in acks {
         client.in_flight.fetch_sub(1, Ordering::AcqRel);
         if client.gone.load(Ordering::Acquire)
-            || !client.write_line(&protocol::format_ingested(epoch, edges))
+            || !client.write_line(protocol::format_ingested(epoch, edges))
         {
             // relaxed: serving counters are statistics only (see
             // `stats_text`).

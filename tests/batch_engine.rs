@@ -160,7 +160,7 @@ proptest! {
     /// refinements and disjoint windows of a few endpoint pairs — the
     /// shapes envelope planning clusters, splits on the cost guard, and
     /// leaves alone — under containment-only, default and near-unbounded
-    /// cost guards, across thread counts that force follower stealing.
+    /// cost guards, across thread counts that spread jobs over workers.
     #[test]
     fn envelope_planned_batches_match_the_sequential_path(
         ((graph, _), shapes) in (
@@ -239,7 +239,7 @@ proptest! {
 /// The adversarial shapes named in PR 4's issue, pinned deterministically:
 /// an overlap chain `[0,5], [3,8], [6,12]` plus mixed nested / overlapping
 /// / disjoint groups, answered with envelope planning across thread counts
-/// that force follower stealing, must equal the sequential path exactly —
+/// that spread jobs over workers, must equal the sequential path exactly —
 /// and the chain must actually be collapsed by the planner.
 #[test]
 fn envelope_overlap_chains_and_mixed_groups_match_sequential() {

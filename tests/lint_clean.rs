@@ -49,7 +49,6 @@ fn every_rule_fires_on_its_planted_fixture() {
         ("notify-under-lock", 1),
         ("no-panic-in-server", 3),
         ("relaxed-justified", 2),
-        ("stats-glossary-sync", 1),
         ("hot-alloc-transitive", 2),
         ("lock-order", 4),
         ("condvar-wait-loop", 1),

@@ -287,6 +287,27 @@ fn unparseable_request_ids_echo_the_raw_token() {
     assert_eq!(report.malformed, 1);
 }
 
+/// Every key the `stats` verb emits is documented in README.md's stats
+/// glossaries as an inline-code span (`` `key` ``). The key count pins
+/// the emitters, so a key that stops being emitted shows up here too.
+#[test]
+fn every_stats_key_is_documented_in_the_readme() {
+    let readme = include_str!("../README.md");
+    let socket = temp_socket("glossary");
+    let handle =
+        Server::bind(QueryEngine::new(figure1_graph()), &socket, ServerConfig::default()).unwrap();
+    let stats = handle.stats_text();
+    handle.shutdown();
+    handle.join();
+
+    let keys: Vec<&str> =
+        stats.lines().filter_map(|line| line.split_once('=').map(|(key, _)| key)).collect();
+    assert!(keys.len() >= 40, "only {} stats keys: {stats}", keys.len());
+    let undocumented: Vec<&str> =
+        keys.into_iter().filter(|key| !readme.contains(&format!("`{key}`"))).collect();
+    assert!(undocumented.is_empty(), "stats keys missing from README.md: {undocumented:?}");
+}
+
 /// The differential pin: a generated workload answered over the socket —
 /// by one client, and by four concurrent interleaving clients — must be
 /// byte-identical to the PR 2 sequential engine, query by query.

@@ -4,7 +4,7 @@
 //! engine built from scratch over the edge set of that epoch — across the
 //! thread grid, with profile sharing on and off, with every cache warm.
 //! The deterministic tests drive the interleaving and an explicit
-//! stale-read attempt against each sharing layer (result LRU, published
+//! stale-read attempt against each sharing layer (result LRU, follower
 //! tspGs inside a batch, the profile cache); the proptest pins
 //! the tentpole identity `extend_with_edges == from_edges` over random
 //! batch splits, including unsorted and duplicate-timestamp batches.
@@ -88,7 +88,7 @@ fn interleaved_ingestion_matches_a_fresh_engine_at_every_epoch() {
 /// The explicit stale-read attempt: warm every sharing layer, then ingest
 /// an edge that is guaranteed to change the answers (a direct `s -> t`
 /// edge inside the query window is always part of the tspG), and prove
-/// that no layer — result LRU, published tspGs, profile cache — can serve
+/// that no layer — result LRU, follower tspGs, profile cache — can serve
 /// a pre-ingestion entry.
 #[test]
 fn no_cache_layer_serves_a_pre_ingestion_answer() {
