@@ -135,7 +135,10 @@ pub(crate) fn execute(engine: &QueryEngine, plan: &BatchPlan, threads: usize) ->
     let cursor = AtomicUsize::new(0);
     let work = || {
         let mut scratch = engine.checkout_scratch();
-        let mut done = Vec::new();
+        // Sized for the whole plan at once: growing it between the units'
+        // result allocations fragmented a resident server's heap (about
+        // 0.25 MiB more after `serve`'s warm-up).
+        let mut done = Vec::with_capacity(plan.num_units());
         // relaxed: the cursor only hands out distinct job indices; the
         // outcomes reach the caller through the scope's joins.
         while let Some(job) = jobs.get(cursor.fetch_add(1, Ordering::Relaxed)) {
