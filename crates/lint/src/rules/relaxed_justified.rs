@@ -1,7 +1,7 @@
 //! `relaxed-justified`: audited memory orderings and unsafe blocks.
 //!
 //! `Ordering::Relaxed` is correct for most of this repo's counters and
-//! work-stealing cursors, but *why* it is correct differs per site (pure
+//! work-claiming cursors, but *why* it is correct differs per site (pure
 //! statistics vs. cursors whose consumers re-check under a lock). Each
 //! use must carry a `// relaxed:` comment recording the argument — one
 //! justification comment anywhere earlier in the same function covers the
