@@ -18,11 +18,8 @@
 //!   exp7       number of paths vs edges in the tspG     (Fig. 12)
 //!   exp8       transit case study                       (Fig. 13)
 //!   batch      batch query engine throughput            (Exp-9, beyond the paper)
-//!   exp10      serving on skewed repeated traffic       (Exp-10, beyond the paper)
-//!   exp11      envelope sharing on overlapping windows  (Exp-11, beyond the paper)
-//!   exp12      same-source frontier sharing on fan-outs (Exp-12, beyond the paper)
+//!   ablation   each sharing layer off, per serving workload (beyond the paper)
 //!   exp13      closed-loop latency through tspg-server  (Exp-13, beyond the paper)
-//!   exp14      arrival profiles on mixed-begin fan-outs (Exp-14, beyond the paper)
 //!   exp15      warm-cache serving under a live edge feed (Exp-15, beyond the paper)
 //!
 //! OPTIONS
@@ -32,7 +29,6 @@
 //!   --seed N                    RNG seed                     (default 0x5eed)
 //!   --budget-ms N               per-query baseline budget    (default 2000)
 //!   --threads N                 batch/serving workers        (default 2)
-//!   --cache-size N              exp10 result-cache entries   (default 4096)
 //! ```
 
 #![forbid(unsafe_code)]
@@ -61,7 +57,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut command: Option<String> = None;
     let mut cfg = HarnessConfig::default();
     let mut threads: usize = 2;
-    let mut cache_size: usize = 4096;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -100,14 +95,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     .map_err(|_| "invalid --threads value".to_string())?;
                 if threads == 0 {
                     return Err("--threads must be at least 1".to_string());
-                }
-            }
-            "--cache-size" => {
-                cache_size = next_value(&mut iter, "--cache-size")?
-                    .parse()
-                    .map_err(|_| "invalid --cache-size value".to_string())?;
-                if cache_size == 0 {
-                    return Err("--cache-size must be at least 1".to_string());
                 }
             }
             "--datasets" => {
@@ -155,11 +142,8 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("Graphviz DOT of the case-study tspG:\n{dot}");
         }
         "batch" => print(vec![exp9_batch_throughput(&cfg, threads)]),
-        "exp10" | "serve" => print(vec![exp10_serving(&cfg, threads, cache_size)]),
-        "exp11" | "envelopes" => print(vec![exp11_envelopes(&cfg, threads)]),
-        "exp12" | "frontier" => print(vec![exp12_frontier_sharing(&cfg, threads)]),
+        "ablation" => print(vec![ablation(&cfg, threads)]),
         "exp13" | "server" => print(vec![exp13_server_latency(&cfg, threads)]),
-        "exp14" | "profiles" => print(vec![exp14_profile_sharing(&cfg, threads)]),
         "exp15" | "ingest" => print(vec![exp15_live_ingestion(&cfg, threads)]),
         "all" => {
             print(vec![table1_datasets(&cfg)]);
@@ -176,11 +160,8 @@ fn run(args: &[String]) -> Result<(), String> {
             print(vec![table]);
             println!("Graphviz DOT of the case-study tspG:\n{dot}");
             print(vec![exp9_batch_throughput(&cfg, threads)]);
-            print(vec![exp10_serving(&cfg, threads, cache_size)]);
-            print(vec![exp11_envelopes(&cfg, threads)]);
-            print(vec![exp12_frontier_sharing(&cfg, threads)]);
+            print(vec![ablation(&cfg, threads)]);
             print(vec![exp13_server_latency(&cfg, threads)]);
-            print(vec![exp14_profile_sharing(&cfg, threads)]);
             print(vec![exp15_live_ingestion(&cfg, threads)]);
         }
         other => return Err(format!("unknown subcommand {other:?}")),
@@ -199,10 +180,9 @@ fn print_help() {
     println!(
         "experiments — reproduce the paper's tables and figures\n\n\
          usage: experiments [SUBCOMMAND] [--scale tiny|small|medium] [--queries N]\n\
-                [--datasets D1,D2,...] [--seed N] [--budget-ms N] [--threads N]\n\
-                [--cache-size N]\n\n\
+                [--datasets D1,D2,...] [--seed N] [--budget-ms N] [--threads N]\n\n\
          subcommands: all (default), table1, exp1, exp2, exp3, exp4, table2,\n\
-                      exp5, exp5-theta, exp6, exp7, exp8, batch, exp10, exp11,\n\
-                      exp12, exp13, exp14, exp15"
+                      exp5, exp5-theta, exp6, exp7, exp8, batch, ablation, exp13,\n\
+                      exp15"
     );
 }

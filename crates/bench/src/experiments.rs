@@ -1,6 +1,6 @@
-//! One function per paper artifact (table / figure), each returning
-//! plain-text [`Table`]s that the `experiments` binary prints and that
-//! `EXPERIMENTS.md` records.
+//! One function per paper artifact (table / figure), plus the serving
+//! experiments beyond the paper, each returning plain-text [`Table`]s that
+//! the `experiments` binary prints.
 
 use crate::harness::{
     format_bytes, format_duration, run_workload, Algorithm, AlgorithmOutcome, HarnessConfig, Table,
@@ -8,13 +8,13 @@ use crate::harness::{
 use std::time::Instant;
 use tspg_baselines::EpAlgorithm;
 use tspg_core::{
-    generate_tspg, quick_upper_bound_graph, tight_upper_bound_graph, BatchStats, CacheConfig,
-    PlannerConfig, QueryEngine, QuerySpec, VugResult,
+    generate_tspg, quick_upper_bound_graph, tight_upper_bound_graph, BatchStats, PlannerConfig,
+    QueryEngine, QuerySpec, VugResult,
 };
 use tspg_datasets::{
     generate_edge_stream, generate_fanout_workload, generate_overlapping_workload,
     generate_repeated_workload, generate_transit, EdgeStreamConfig, FanoutWorkloadConfig,
-    GraphGenerator, OverlappingWorkloadConfig, RepeatedWorkloadConfig,
+    GraphGenerator, OverlappingWorkloadConfig, RepeatedWorkloadConfig, WorkloadError,
 };
 use tspg_enum::{count_paths, naive_tspg};
 use tspg_graph::{GraphStats, TemporalGraph, TimeInterval};
@@ -412,7 +412,8 @@ pub fn exp9_batch_throughput(cfg: &HarnessConfig, threads: usize) -> Table {
         let one_shot_time = started.elapsed();
 
         // The cache is disabled so that the second and third runs measure
-        // the raw execution paths, not cache hits (Exp-10 measures those).
+        // the raw execution paths, not cache hits (the ablation measures
+        // those).
         let engine = QueryEngine::new(prepared.graph.clone()).without_cache();
         let started = Instant::now();
         let batch_seq = engine.run_batch(queries, 1);
@@ -448,575 +449,251 @@ pub fn exp9_batch_throughput(cfg: &HarnessConfig, threads: usize) -> Table {
     table
 }
 
-/// Exp-10 (beyond the paper): serving throughput under skewed, repeated
-/// traffic — the workload shape the planner and the result cache exist for.
+/// One arm of the [`ablation`]: the sharing layers a fresh engine gets.
+/// Dedup and containment followers are part of every plan.
+struct Arm {
+    name: &'static str,
+    envelopes: bool,
+    profiles: bool,
+    profile_cache: bool,
+    result_cache: bool,
+}
+
+impl Arm {
+    const fn new(
+        name: &'static str,
+        envelopes: bool,
+        profiles: bool,
+        profile_cache: bool,
+        result_cache: bool,
+    ) -> Self {
+        Self { name, envelopes, profiles, profile_cache, result_cache }
+    }
+
+    fn engine(&self, graph: &TemporalGraph) -> QueryEngine {
+        let planner = PlannerConfig { envelopes: self.envelopes, profile_sharing: self.profiles };
+        let mut engine = QueryEngine::new(graph.clone()).with_planner(planner);
+        if !self.result_cache {
+            engine = engine.without_cache();
+        }
+        if !self.profile_cache {
+            engine = engine.without_profile_cache();
+        }
+        engine
+    }
+}
+
+/// The ablation's planned arms: every layer on but the result cache, each
+/// layer off in turn, the result cache on, and every optional layer off.
+#[rustfmt::skip]
+const ARMS: [Arm; 6] = [
+    //        name             envelopes profiles profile cache result cache
+    Arm::new("all",            true,     true,    true,         false),
+    Arm::new("-envelopes",     false,    true,    true,         false),
+    Arm::new("-profiles",      true,     false,   true,         false),
+    Arm::new("-profile cache", true,     true,    false,        false),
+    Arm::new("+result cache",  true,     true,    true,         true),
+    Arm::new("none",           false,    false,   false,        false),
+];
+
+/// Generates one ablation workload on `graph`: `n` catalog entries (Zipf
+/// bases, overlap chains or fan-out bursts) of span `theta`.
+type WorkloadFn = fn(&TemporalGraph, usize, i64, u64) -> Result<Vec<QuerySpec>, WorkloadError>;
+
+/// The ablation's serving workloads, each the shape one layer exists for.
+const WORKLOADS: [(&str, WorkloadFn); 4] = [
+    // Zipf repeats and narrowed refinements of a hot catalog: dedup,
+    // containment and the result cache.
+    ("repeated", |graph, n, theta, seed| {
+        generate_repeated_workload(graph, &RepeatedWorkloadConfig::new(n * 8, n, theta), seed)
+    }),
+    // Chains of six third-span-stride windows: overlapping, never nested,
+    // so only envelopes collapse them.
+    ("overlap", |graph, n, theta, seed| {
+        let config = OverlappingWorkloadConfig {
+            stride: (theta / 3).max(1),
+            ..OverlappingWorkloadConfig::new(n * 6, n, theta)
+        };
+        generate_overlapping_workload(graph, &config, seed)
+    }),
+    // Bursts of ~8 same-source, same-begin queries: profile groups.
+    ("fanout", |graph, n, theta, seed| {
+        generate_fanout_workload(graph, &FanoutWorkloadConfig::new(n * 8, n, theta), seed)
+    }),
+    // The same bursts with begins jittered over half a window: profiles
+    // clamped per member begin, and the profile cache on the warm pass.
+    ("mixed-begin", |graph, n, theta, seed| {
+        let config = FanoutWorkloadConfig::new(n * 8, n, theta).with_begin_jitter(theta / 2);
+        generate_fanout_workload(graph, &config, seed)
+    }),
+];
+
+/// The sharing-layer ablation (beyond the paper): each serving workload
+/// answered with each layer the planner and the engine add over the
+/// paper's pipeline switched off in turn.
 ///
-/// For every selected dataset a Zipf-skewed repeated-query workload
-/// (exact repeats plus narrowed-window refinements of a small catalog of
-/// hot queries) is answered two ways:
+/// Like the Exp-8 case study, this runs on graphs it generates itself: a
+/// uniform and a hub-skewed serving graph sized off the configured scale
+/// (`min_edges` edges, average degree ~6, windows ~6% of the timestamp
+/// domain). The registry's dense miniatures are the wrong regime: there a
+/// window's tspG covers most of the graph, so a rerun on a covering tspG
+/// costs nearly as much as a run on the graph.
 ///
-/// * **PR 2 sequential** — the engine's raw per-query path, no planning,
-///   no cache: one pipeline execution per query, in order.
-/// * **planned + cached** — `run_batch_with_stats` through an engine with
-///   an LRU result cache, fed the workload in batches so later batches hit
-///   results cached by earlier ones.
-///
-/// The table reports wall-clock and the plan counters (full pipeline runs,
-/// dedup, window-shared answers, cache hits with hit rate) plus an
-/// `identical` column cross-checking that every planned/cached answer is
-/// byte-identical to the sequential one.
+/// Per workload and graph, the `sequential` arm answers every query with
+/// the raw [`QueryEngine::run`] path — one pipeline run per query, no
+/// plan, no cache — and is the byte-identity reference. Each planned arm
+/// (`ARMS`) answers the workload as one batch twice on one fresh engine,
+/// cold and then warm. The table reports both wall times, the pipeline
+/// runs and every layer's counters: the plan counters of the cold pass,
+/// the cache hits of the warm one.
 ///
 /// # Panics
 ///
-/// Panics if any planned/cached answer differs from the sequential one, or
-/// if planning + caching fails to answer the batch with fewer full
-/// pipeline executions than queries — both are acceptance criteria, and CI
-/// runs this experiment on every push.
-pub fn exp10_serving(cfg: &HarnessConfig, threads: usize, cache_entries: usize) -> Table {
+/// Panics if any planned answer differs from the sequential one; if
+/// planning fails to save runs on `repeated`; if envelopes fail to save
+/// runs over containment-only planning on `overlap`; if a fan-out workload
+/// forms no profile group with profiles on, any with them off, or changes
+/// its run count between the two; or if the warm `mixed-begin` pass misses
+/// the profile cache. CI runs this on every push and greps the identity
+/// column.
+pub fn ablation(cfg: &HarnessConfig, threads: usize) -> Table {
     let threads = threads.max(1);
     let mut table = Table::new(
-        format!(
-            "Exp-10 — serving throughput on skewed repeated traffic \
-             ({threads} threads, cache {cache_entries} entries)"
-        ),
+        format!("Ablation — serving workloads with each sharing layer off ({threads} threads)"),
         &[
-            "dataset",
+            "workload",
+            "graph",
+            "arm",
             "queries",
-            "distinct",
-            "PR2 seq",
-            "planned+cached",
-            "speedup",
-            "full runs",
+            "cold",
+            "warm",
+            "runs",
             "dedup",
             "shared",
-            "cache hits",
-            "hit rate",
-            "identical",
-        ],
-    );
-    for spec in cfg.selected_specs() {
-        let prepared = cfg.prepare(&spec);
-        // A serving trace: 8x repetition over a catalog of hot queries.
-        let workload_cfg = RepeatedWorkloadConfig::new(
-            cfg.queries_per_dataset * 8,
-            cfg.queries_per_dataset.max(1),
-            spec.default_theta,
-        );
-        let queries = match generate_repeated_workload(&prepared.graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp10: skipping {} — workload generation failed: {e}", spec.id);
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query, no plan/cache.
-        let baseline_engine = QueryEngine::new(prepared.graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Planned + cached serving loop: the workload arrives in batches,
-        // so later batches can hit results cached by earlier ones.
-        let engine = QueryEngine::new(prepared.graph.clone())
-            .with_cache(CacheConfig::with_max_entries(cache_entries.max(1)));
-        let mut stats = BatchStats::default();
-        let mut answers: Vec<VugResult> = Vec::with_capacity(queries.len());
-        let batch_size = queries.len().div_ceil(4).max(1);
-        let started = Instant::now();
-        for batch in queries.chunks(batch_size) {
-            let (results, batch_stats) = engine.run_batch_with_stats(batch, threads);
-            stats.merge(&batch_stats);
-            answers.extend(results);
-        }
-        let served_time = started.elapsed();
-
-        let identical = baseline.iter().zip(answers.iter()).all(|(a, b)| a.tspg == b.tspg);
-        assert!(identical, "{}: planned/cached answers diverged from PR 2 sequential", spec.id);
-        assert!(
-            stats.pipeline_runs() < queries.len(),
-            "{}: {} full pipeline runs for {} queries — planning saved nothing",
-            spec.id,
-            stats.pipeline_runs(),
-            queries.len()
-        );
-        let cache = engine.cache_stats().expect("exp10 engine always has a cache");
-        let speedup = if served_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", baseline_time.as_secs_f64() / served_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            prepared.id.clone(),
-            queries.len().to_string(),
-            workload_cfg.distinct.to_string(),
-            format_duration(baseline_time),
-            format_duration(served_time),
-            speedup,
-            stats.pipeline_runs().to_string(),
-            stats.dedup_answered.to_string(),
-            // Containment and envelope sharing both count here: queries
-            // answered from some covering tspG rather than the full graph.
-            (stats.shared_answered + stats.envelope_answered).to_string(),
-            stats.cache_hits.to_string(),
-            format!("{:.1}%", 100.0 * cache.hit_rate()),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-11 (beyond the paper): envelope sharing on overlapping-window
-/// traffic — sliding same-`(s, t)` windows that overlap without nesting,
-/// the shape containment-only planning cannot collapse.
-///
-/// The registry's synthetic datasets are deliberately *dense* miniatures
-/// (tens of vertices, thousands of edges — `Scale::density_boost`
-/// concentrates the per-window branching factor of the full-size graphs),
-/// which is the wrong regime for cross-window sharing: on them every
-/// window's tspG covers most of the graph, so re-running the pipeline on a
-/// covering tspG costs nearly as much as on the graph itself. Envelope
-/// units pay off in the *serving* regime — large sparse graphs with long
-/// timestamp domains, where a query window touches a sliver of the edge
-/// set and its tspG is a handful of edges. Like the Exp-8 case study, this
-/// experiment therefore generates its own graphs: a uniform and a
-/// hub-skewed serving graph, sized off the configured scale (`min_edges`
-/// edges, average degree ~6, window span ~8% of the timestamp domain).
-///
-/// The workload (chains of third-span-stride sliding windows; see
-/// `tspg_datasets::OverlappingWorkloadConfig`) is answered three ways, all
-/// with the result cache off so the planner's own saving is what gets
-/// measured:
-///
-/// * **PR 2 sequential** — the raw per-query path: one full-graph pipeline
-///   execution per query.
-/// * **containment-only** — `run_batch_with_stats` with envelope synthesis
-///   disabled (the PR 3 planner): overlapping windows never nest, so this
-///   plans one full-graph unit per distinct window.
-/// * **envelope** — the default planner: each overlap chain collapses into
-///   synthesized envelope units (cost guard `k = 2`, four windows per
-///   envelope) whose full-graph runs answer every member from their tspGs,
-///   on the worker that ran the envelope.
-///
-/// The table reports wall-clock for the three arms, the envelope arm's
-/// plan counters, and an `identical` column cross-checking that all three
-/// produce byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any envelope or containment-only answer differs from the
-/// sequential path, or if envelope planning fails to answer the batch with
-/// fewer full-graph pipeline runs than containment-only planning — CI runs
-/// this experiment on every push and greps the identity column.
-pub fn exp11_envelopes(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-11 — envelope sharing on overlapping windows ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "chains",
-            "PR2 seq",
-            "containment",
-            "envelope",
-            "env vs containment",
-            "full runs",
             "env units",
             "env answered",
-            "identical",
-        ],
-    );
-    // Serving-graph shape, scaled by the harness's edge budget.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 20).max(30);
-    let theta = (timestamps as i64 / 12).max(2);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x11);
-        // Chains of 6 sliding windows per catalog entry; a third-span
-        // stride keeps consecutive windows overlapping (never nesting) and
-        // lets the default cost guard (k = 2) absorb four windows per
-        // envelope.
-        let chains = cfg.queries_per_dataset.max(1);
-        let workload_cfg = OverlappingWorkloadConfig {
-            stride: (theta / 3).max(1),
-            ..OverlappingWorkloadConfig::new(chains * 6, chains, theta)
-        };
-        let queries = match generate_overlapping_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp11: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Containment-only planning (PR 3): no envelope synthesis.
-        let containment_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::containment_only());
-        let started = Instant::now();
-        let (containment, containment_stats) =
-            containment_engine.run_batch_with_stats(&queries, threads);
-        let containment_time = started.elapsed();
-
-        // Envelope planning (this PR): overlap chains collapse.
-        let envelope_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (envelope, stats) = envelope_engine.run_batch_with_stats(&queries, threads);
-        let envelope_time = started.elapsed();
-
-        let identical = baseline
-            .iter()
-            .zip(containment.iter())
-            .zip(envelope.iter())
-            .all(|((a, b), c)| a.tspg == b.tspg && a.tspg == c.tspg);
-        assert!(identical, "{name}: envelope/containment answers diverged from sequential");
-        assert!(
-            stats.pipeline_runs() < containment_stats.pipeline_runs(),
-            "{name}: envelope planning ran {} full pipelines vs containment-only's {} — \
-             envelopes saved nothing",
-            stats.pipeline_runs(),
-            containment_stats.pipeline_runs()
-        );
-        let speedup = if envelope_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", containment_time.as_secs_f64() / envelope_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            chains.to_string(),
-            format_duration(baseline_time),
-            format_duration(containment_time),
-            format_duration(envelope_time),
-            speedup,
-            stats.pipeline_runs().to_string(),
-            stats.envelope_units.to_string(),
-            stats.envelope_answered.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-12 (beyond the paper): same-source frontier sharing on fan-out
-/// traffic — bursts of queries expanding one hot source against many
-/// targets over one window, the shape *none* of the earlier sharing axes
-/// can collapse (different targets never dedup, contain, or envelope).
-///
-/// Like Exp-11 this runs in the serving regime (its own uniform and
-/// hub-skewed sparse graphs; the registry's dense miniatures are the wrong
-/// shape) and measures three arms, result cache off so the planner's own
-/// saving is what gets measured:
-///
-/// * **PR 2 sequential** — one full pipeline per query: per query a
-///   forward BFS, a backward BFS and an `O(m)` edge scan over the full
-///   graph.
-/// * **envelope-only** — the default planner with profile sharing
-///   disabled: fan-out bursts plan one unit per target, so this arm runs
-///   the same full-graph passes as the sequential one (plus cross-window
-///   sharing where windows happen to nest).
-/// * **frontier-shared** — the default planner: each burst's units share
-///   one target-agnostic forward pass over the burst's hull window (an
-///   [`tspg_core::ArrivalProfile`] since PR 8), and every member answers
-///   from a candidate subgraph scanned off the clamped frontier instead of
-///   re-filtering all `m` edges.
-///
-/// The table reports wall-clock for the three arms, the frontier arm's
-/// group counters, and an `identical` column cross-checking that all three
-/// arms produce byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any answer diverges between the arms, or if the frontier arm
-/// failed to form any frontier group on a fan-out workload — CI runs this
-/// experiment on every push and greps the identity column.
-pub fn exp12_frontier_sharing(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-12 — same-source frontier sharing on fan-out bursts ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "bursts",
-            "PR2 seq",
-            "envelope-only",
-            "frontier",
-            "frontier vs envelope-only",
-            "groups",
-            "frontier answered",
-            "identical",
-        ],
-    );
-    // Serving-graph shape, scaled by the harness's edge budget. Narrow
-    // windows over a long timestamp domain keep each query's neighbourhood
-    // a sliver of the edge set — the regime where skipping the full-graph
-    // scan pays.
-    let edges = cfg.scale.min_edges.max(300);
-    let vertices = (edges / 6).max(24);
-    let timestamps = (edges / 10).max(40);
-    let theta = (timestamps as i64 / 16).max(2);
-    let shapes = [
-        ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
-        ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
-    ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x12);
-        // Bursts of ~8 same-source queries; round-robin emission means the
-        // batch interleaves bursts the way concurrent clients would.
-        let bursts = cfg.queries_per_dataset.max(1);
-        let workload_cfg = FanoutWorkloadConfig::new(bursts * 8, bursts, theta);
-        let queries = match generate_fanout_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp12: skipping {name} graph — workload generation failed: {e}");
-                continue;
-            }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // Envelope-only planning (PR 4): no frontier groups.
-        let envelope_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::default().without_profile_sharing());
-        let started = Instant::now();
-        let (envelope, envelope_stats) = envelope_engine.run_batch_with_stats(&queries, threads);
-        let envelope_time = started.elapsed();
-
-        // Frontier-shared planning (this PR).
-        let frontier_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (frontier, stats) = frontier_engine.run_batch_with_stats(&queries, threads);
-        let frontier_time = started.elapsed();
-
-        let identical = baseline
-            .iter()
-            .zip(envelope.iter())
-            .zip(frontier.iter())
-            .all(|((a, b), c)| a.tspg == b.tspg && a.tspg == c.tspg);
-        assert!(identical, "{name}: frontier/envelope answers diverged from sequential");
-        assert!(
-            stats.profile_groups >= 1,
-            "{name}: a fan-out workload must form profile groups: {stats:?}"
-        );
-        assert_eq!(
-            stats.pipeline_runs(),
-            envelope_stats.pipeline_runs(),
-            "{name}: frontier sharing cuts inside runs, never changes how many there are"
-        );
-        let speedup = if frontier_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", envelope_time.as_secs_f64() / frontier_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            bursts.to_string(),
-            format_duration(baseline_time),
-            format_duration(envelope_time),
-            format_duration(frontier_time),
-            speedup,
-            stats.profile_groups.to_string(),
-            stats.profile_answered.to_string(),
-            identical.to_string(),
-        ]);
-    }
-    table
-}
-
-/// Exp-14 (beyond the paper): per-source arrival profiles on *mixed-begin*
-/// fan-out traffic — bursts expanding one hot source against many targets
-/// whose window begins are jittered, the shape PR 5's begin-anchored
-/// frontier sharing cannot collapse (a frontier is only reusable at the
-/// exact begin it was computed for; a profile clamps to any begin inside
-/// its hull).
-///
-/// Runs in the serving regime (same graph shapes as Exp-12), result cache
-/// off so the planner's own saving is what gets measured, four arms:
-///
-/// * **PR 2 sequential** — one full pipeline per query.
-/// * **no-sharing** — the default planner with profile sharing disabled.
-///   On mixed-begin bursts this is also what PR 5's frontier grouping
-///   degenerates to (no two members share a begin), so the column doubles
-///   as the PR 5 baseline.
-/// * **profile (cold)** — the default planner: each burst's units share
-///   one [`tspg_core::ArrivalProfile`] over the hull window, clamped per
-///   member begin; the profile cache starts empty so every group pays one
-///   profile computation.
-/// * **profile (warm)** — the same batch replayed on the same engine: the
-///   profiles are resident in the engine's profile cache, so groups skip
-///   even the one forward pass.
-///
-/// The table reports wall-clock for the four arms, a cold-vs-no-sharing
-/// speedup, the profile group counters, the warm pass's cache hits, and an
-/// `identical` column cross-checking that all four arms produce
-/// byte-identical answers in batch order.
-///
-/// # Panics
-///
-/// Panics if any answer diverges between the arms, if the profile arm
-/// failed to form any group on a mixed-begin fan-out workload, or if the
-/// warm pass reports zero profile-cache hits — CI runs this experiment on
-/// every push and greps the identity column.
-pub fn exp14_profile_sharing(cfg: &HarnessConfig, threads: usize) -> Table {
-    let threads = threads.max(1);
-    let mut table = Table::new(
-        format!("Exp-14 — arrival profiles on mixed-begin fan-outs ({threads} threads, cache off)"),
-        &[
-            "graph",
-            "|V|",
-            "|E|",
-            "queries",
-            "bursts",
-            "PR2 seq",
-            "no-sharing",
-            "profile cold",
-            "profile warm",
-            "cold vs no-sharing",
             "groups",
             "profile answered",
-            "warm cache hits",
+            "profile hits",
+            "cache hits",
             "identical",
         ],
     );
-    // Same serving-graph shape as Exp-12; the jitter spreads each burst's
-    // begins over half a window width, so the hull stays within the
-    // planner's span-factor guard while no two members need share a begin.
     let edges = cfg.scale.min_edges.max(300);
     let vertices = (edges / 6).max(24);
     let timestamps = (edges / 10).max(40);
     let theta = (timestamps as i64 / 16).max(2);
-    let jitter = (theta / 2).max(1);
+    let n = cfg.queries_per_dataset.max(1);
     let shapes = [
         ("uniform", GraphGenerator::uniform(vertices, edges, timestamps)),
         ("hub", GraphGenerator::hub(vertices, edges, timestamps, 1.2)),
     ];
-    for (name, generator) in shapes {
-        let graph = generator.generate(cfg.seed ^ 0x14);
-        let bursts = cfg.queries_per_dataset.max(1);
-        let workload_cfg =
-            FanoutWorkloadConfig::new(bursts * 8, bursts, theta).with_begin_jitter(jitter);
-        let queries = match generate_fanout_workload(&graph, &workload_cfg, cfg.seed) {
-            Ok(queries) => queries,
-            Err(e) => {
-                eprintln!("exp14: skipping {name} graph — workload generation failed: {e}");
-                continue;
+    for (graph_name, generator) in shapes {
+        let graph = generator.generate(cfg.seed ^ 0xab1a);
+        for (workload, generate) in WORKLOADS {
+            let queries = match generate(&graph, n, theta, cfg.seed) {
+                Ok(queries) => queries,
+                Err(e) => {
+                    eprintln!("ablation: skipping {workload} on {graph_name}: {e}");
+                    continue;
+                }
+            };
+            let row = |arm: &str, cells: Vec<String>| {
+                let mut row = vec![workload.to_string(), graph_name.to_string(), arm.to_string()];
+                row.push(queries.len().to_string());
+                row.extend(cells);
+                row
+            };
+
+            let reference_engine = QueryEngine::new(graph.clone()).without_cache();
+            let mut scratch = tspg_core::QueryScratch::new();
+            let started = Instant::now();
+            let reference: Vec<VugResult> =
+                queries.iter().map(|&q| reference_engine.run(q, &mut scratch)).collect();
+            let mut cells = vec![format_duration(started.elapsed()), "-".into()];
+            cells.push(queries.len().to_string());
+            cells.extend(std::iter::repeat_n("-".to_string(), 8));
+            cells.push("true".into());
+            table.push_row(row("sequential", cells));
+
+            let mut cold_stats: Vec<BatchStats> = Vec::with_capacity(ARMS.len());
+            for arm in &ARMS {
+                let context = format!("{workload} on {graph_name}, arm {}", arm.name);
+                let engine = arm.engine(&graph);
+                let started = Instant::now();
+                let (cold_answers, cold) = engine.run_batch_with_stats(&queries, threads);
+                let cold_time = started.elapsed();
+                let profile_hits_cold = engine.profile_cache_stats().map(|c| c.hits);
+                let started = Instant::now();
+                let (warm_answers, warm) = engine.run_batch_with_stats(&queries, threads);
+                let warm_time = started.elapsed();
+                let profile_hits = engine.profile_cache_stats().zip(profile_hits_cold);
+                let profile_hits = profile_hits.map(|(c, before)| c.hits - before);
+
+                let identical = [&cold_answers, &warm_answers]
+                    .iter()
+                    .all(|answers| answers.iter().zip(&reference).all(|(a, b)| a.tspg == b.tspg));
+                assert!(identical, "{context}: answers diverged from sequential");
+                if workload == "mixed-begin" && arm.name == "all" {
+                    assert!(
+                        profile_hits.is_some_and(|hits| hits > 0),
+                        "{context}: the warm pass must hit the profile cache: {warm:?}"
+                    );
+                }
+                table.push_row(row(
+                    arm.name,
+                    vec![
+                        format_duration(cold_time),
+                        format_duration(warm_time),
+                        cold.pipeline_runs().to_string(),
+                        cold.dedup_answered.to_string(),
+                        cold.shared_answered.to_string(),
+                        cold.envelope_units.to_string(),
+                        cold.envelope_answered.to_string(),
+                        cold.profile_groups.to_string(),
+                        cold.profile_answered.to_string(),
+                        profile_hits.map_or("-".into(), |hits| hits.to_string()),
+                        warm.cache_hits.to_string(),
+                        identical.to_string(),
+                    ],
+                ));
+                cold_stats.push(cold);
             }
-        };
-
-        // PR 2 sequential baseline: raw pipeline per query.
-        let baseline_engine = QueryEngine::new(graph.clone()).without_cache();
-        let mut scratch = tspg_core::QueryScratch::new();
-        let started = Instant::now();
-        let baseline: Vec<VugResult> =
-            queries.iter().map(|&q| baseline_engine.run(q, &mut scratch)).collect();
-        let baseline_time = started.elapsed();
-
-        // No profile sharing: the PR 5 regime on mixed begins.
-        let nosharing_engine = QueryEngine::new(graph.clone())
-            .without_cache()
-            .with_planner(PlannerConfig::default().without_profile_sharing());
-        let started = Instant::now();
-        let (nosharing, nosharing_stats) = nosharing_engine.run_batch_with_stats(&queries, threads);
-        let nosharing_time = started.elapsed();
-
-        // Profile-shared planning (this PR), cold then warm on one engine.
-        let profile_engine = QueryEngine::new(graph.clone()).without_cache();
-        let started = Instant::now();
-        let (cold, stats) = profile_engine.run_batch_with_stats(&queries, threads);
-        let cold_time = started.elapsed();
-        let started = Instant::now();
-        let (warm, warm_stats) = profile_engine.run_batch_with_stats(&queries, threads);
-        let warm_time = started.elapsed();
-        let cache = profile_engine
-            .profile_cache_stats()
-            .expect("exp14 runs with the default profile cache enabled");
-
-        let identical = baseline
-            .iter()
-            .zip(nosharing.iter())
-            .zip(cold.iter())
-            .zip(warm.iter())
-            .all(|(((a, b), c), d)| a.tspg == b.tspg && a.tspg == c.tspg && a.tspg == d.tspg);
-        assert!(identical, "{name}: profile/no-sharing answers diverged from sequential");
-        assert!(
-            stats.profile_groups >= 1,
-            "{name}: a mixed-begin fan-out workload must form profile groups: {stats:?}"
-        );
-        assert_eq!(
-            nosharing_stats.profile_groups, 0,
-            "{name}: the no-sharing arm must plan zero profile groups"
-        );
-        assert_eq!(
-            stats.pipeline_runs(),
-            nosharing_stats.pipeline_runs(),
-            "{name}: profile sharing cuts inside runs, never changes how many there are"
-        );
-        assert!(
-            warm_stats.profile_groups >= 1 && cache.hits > 0,
-            "{name}: a warm replay must serve its groups from the profile cache: \
-             {warm_stats:?} {cache:?}"
-        );
-        let speedup = if cold_time.as_secs_f64() > 0.0 {
-            format!("{:.1}x", nosharing_time.as_secs_f64() / cold_time.as_secs_f64())
-        } else {
-            "-".to_string()
-        };
-        table.push_row(vec![
-            name.to_string(),
-            graph.num_vertices().to_string(),
-            graph.num_edges().to_string(),
-            queries.len().to_string(),
-            bursts.to_string(),
-            format_duration(baseline_time),
-            format_duration(nosharing_time),
-            format_duration(cold_time),
-            format_duration(warm_time),
-            speedup,
-            stats.profile_groups.to_string(),
-            stats.profile_answered.to_string(),
-            cache.hits.to_string(),
-            identical.to_string(),
-        ]);
+            check_ablation(workload, graph_name, queries.len(), &cold_stats);
+        }
     }
     table
+}
+
+/// The per-workload assertions of [`ablation`] over each arm's cold-pass
+/// stats (in [`ARMS`] order).
+fn check_ablation(workload: &str, graph: &str, queries: usize, stats: &[BatchStats]) {
+    let arm = |name: &str| &stats[ARMS.iter().position(|a| a.name == name).expect("known arm")];
+    let (all, no_profiles) = (arm("all"), arm("-profiles"));
+    match workload {
+        "repeated" => assert!(
+            stats.iter().all(|s| s.pipeline_runs() < queries),
+            "{graph}: planning saved no runs on {queries} repeated queries: {stats:?}"
+        ),
+        "overlap" => assert!(
+            all.pipeline_runs() < arm("-envelopes").pipeline_runs(),
+            "{graph}: envelopes saved no runs over containment-only planning: {stats:?}"
+        ),
+        _ => {
+            assert!(all.profile_groups >= 1, "{graph}: {workload} formed no profile group");
+            assert_eq!(no_profiles.profile_groups, 0, "{graph}: -profiles formed groups");
+            assert_eq!(
+                all.pipeline_runs(),
+                no_profiles.pipeline_runs(),
+                "{graph}: profile sharing changed the run count on {workload}"
+            );
+        }
+    }
 }
 
 /// Exp-15 (beyond the paper): warm-cache serving under a live edge feed.
 ///
-/// The serving experiments above all hold the graph fixed; a live
-/// deployment does not. This experiment drives the epoch-versioned
+/// The ablation above holds the graph fixed; a live deployment does not. This experiment drives the epoch-versioned
 /// invalidation machinery end to end: a fan-out serving workload runs warm
 /// on a caching engine while a streamed edge feed
 /// ([`tspg_datasets::generate_edge_stream`]) lands batch after batch via
@@ -1057,7 +734,7 @@ pub fn exp15_live_ingestion(cfg: &HarnessConfig, threads: usize) -> Table {
             "identical",
         ],
     );
-    // Same serving-graph shapes as Exp-12/Exp-14.
+    // Same serving-graph shapes as the ablation.
     let edges = cfg.scale.min_edges.max(300);
     let vertices = (edges / 6).max(24);
     let timestamps = (edges / 10).max(40);
@@ -1178,8 +855,8 @@ fn percentile(sorted: &[std::time::Duration], p: f64) -> std::time::Duration {
 /// Exp-13 (beyond the paper): closed-loop serving latency through the
 /// resident `tspg-server` vs the one-shot path, at several arrival rates.
 ///
-/// A skewed repeated workload (the Exp-10 shape) over a serving graph is
-/// answered two ways:
+/// A skewed repeated workload (the ablation's `repeated` shape) over a
+/// serving graph is answered two ways:
 ///
 /// * **one-shot** — the cost of answering each query in a fresh process:
 ///   one raw pipeline execution per query on an engine with no cache and
@@ -1227,8 +904,8 @@ pub fn exp13_server_latency(cfg: &HarnessConfig, threads: usize) -> Table {
         ],
     );
 
-    // Serving-graph shape, scaled by the harness's edge budget (Exp-11's
-    // regime: sparse graph, long timestamp domain, sliver-sized windows).
+    // Serving-graph shape, scaled by the harness's edge budget: sparse
+    // graph, long timestamp domain, sliver-sized windows.
     let edges = cfg.scale.min_edges.max(300);
     let vertices = (edges / 6).max(24);
     let timestamps = (edges / 20).max(30);
@@ -1485,38 +1162,11 @@ mod tests {
     }
 
     #[test]
-    fn exp10_saves_pipeline_executions_and_stays_identical() {
-        let t = exp10_serving(&smoke_cfg(), 2, 256);
-        assert_eq!(t.num_rows(), 1);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp11_envelope_sharing_beats_containment_and_stays_identical() {
-        // Exp-11 generates its own serving graphs (one uniform, one
-        // hub-skewed row) rather than using the dataset registry.
-        let t = exp11_envelopes(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp12_frontier_sharing_forms_groups_and_stays_identical() {
-        let t = exp12_frontier_sharing(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
-        let text = t.render();
-        assert!(text.contains("true"), "{text}");
-        assert!(!text.contains("false"), "{text}");
-    }
-
-    #[test]
-    fn exp14_profile_sharing_forms_groups_and_stays_identical() {
-        let t = exp14_profile_sharing(&smoke_cfg(), 2);
-        assert_eq!(t.num_rows(), 2);
+    fn ablation_checks_every_layer_and_stays_identical() {
+        // Four workloads on two serving graphs, the sequential reference
+        // plus six planned arms each; the per-workload checks run inside.
+        let t = ablation(&smoke_cfg(), 2);
+        assert_eq!(t.num_rows(), 4 * 2 * (1 + ARMS.len()));
         let text = t.render();
         assert!(text.contains("true"), "{text}");
         assert!(!text.contains("false"), "{text}");

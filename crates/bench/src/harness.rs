@@ -41,7 +41,7 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// A configuration small enough for CI smoke tests and Criterion runs.
+    /// A configuration small enough for CI smoke tests.
     pub fn smoke() -> Self {
         Self {
             scale: Scale::tiny(),

@@ -5,11 +5,10 @@
 //!
 //! The crate has two faces:
 //!
-//! * a **library** (`harness`, `experiments`) used both by the
-//!   `experiments` binary and by the Criterion benchmarks under `benches/`;
+//! * a **library** (`harness`, `experiments`) behind the binary;
 //! * the **`experiments` binary**, which prints one plain-text table per
 //!   paper artifact (Fig. 5 → `exp1`, Fig. 6 → `exp2`, …, Table II →
-//!   `table2`) so that `EXPERIMENTS.md` can be regenerated from scratch.
+//!   `table2`), plus the serving experiments beyond the paper.
 //!
 //! Run `cargo run -p tspg-bench --release --bin experiments -- --help` for
 //! the command-line interface.

@@ -10,9 +10,7 @@
 //!               [--fanout-sources S] [--end-spread E] [--begin-jitter J]
 //!               [--output FILE]
 //! tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]
-//!            [--envelope-factor K] [--no-envelopes]
-//!            [--envelope-density-cutoff R] [--no-profile-sharing]
-//!            [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]
+//!            [--profile-cache-size N] [--quiet]
 //! tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]
 //!            [--quiet]
 //! ```
@@ -30,9 +28,7 @@ use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use tspg_baselines::{run_ep, EpAlgorithm};
-use tspg_core::{
-    generate_tspg, CacheConfig, PlannerConfig, ProfileCacheConfig, QueryEngine, QuerySpec,
-};
+use tspg_core::{generate_tspg, CacheConfig, ProfileCacheConfig, QueryEngine, QuerySpec};
 use tspg_datasets::{find, format_queries, generate_workload, parse_queries, Scale};
 use tspg_enum::{enumerate_paths, Budget};
 use tspg_graph::{io, GraphStats, TemporalEdge, TemporalGraph, TimeInterval, VertexId};
@@ -82,9 +78,7 @@ fn usage() -> String {
        tspg workload <edge-list> --queries N --theta T [--seed N]\n\
                   [--fanout-sources S] [--end-spread E] [--begin-jitter J] [--output FILE]\n\
        tspg batch <edge-list> <query-file> [--threads N] [--cache-size N]\n\
-                  [--envelope-factor K] [--no-envelopes]\n\
-                  [--envelope-density-cutoff R] [--no-profile-sharing]\n\
-                  [--profile-density-cutoff R] [--profile-cache-size N] [--quiet]\n\
+                  [--profile-cache-size N] [--quiet]\n\
        tspg client <query-file> --socket PATH [--ingest FILE] [--stats] [--shutdown]\n\
                   [--quiet]\n"
         .to_string()
@@ -319,18 +313,8 @@ fn cmd_workload(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_batch(args: &[String]) -> Result<String, String> {
-    let (positional, flags) = parse_flags(
-        args,
-        &[
-            "threads",
-            "cache-size",
-            "envelope-factor",
-            "envelope-density-cutoff",
-            "profile-density-cutoff",
-            "profile-cache-size",
-        ],
-        &["quiet", "no-envelopes", "no-profile-sharing"],
-    )?;
+    let (positional, flags) =
+        parse_flags(args, &["threads", "cache-size", "profile-cache-size"], &["quiet"])?;
     let graph_path = positional.first().ok_or("batch requires an edge-list path")?;
     let query_path = positional.get(1).ok_or("batch requires a query-file path")?;
     let threads: usize = match flags.get("threads") {
@@ -346,53 +330,6 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         Some(v) => Some(parse_number(v, "cache size")?),
         None => None,
     };
-    // Envelope planning: `--no-envelopes` (or a factor of 0) falls back to
-    // containment-only sharing; `--envelope-factor K` tunes the cost guard
-    // (an envelope may span at most K× its widest member window).
-    let envelope_factor: Option<f64> = match flags.get("envelope-factor") {
-        Some(v) => {
-            let factor: f64 = parse_number(v, "envelope factor")?;
-            // Factors in (0, 1) would be silently clamped to 1 by the
-            // planner; reject them so a guard sweep never lies.
-            if !factor.is_finite() || factor < 0.0 || (factor > 0.0 && factor < 1.0) {
-                return Err(format!(
-                    "--envelope-factor must be 0 (disable envelopes) or >= 1, got {v}"
-                ));
-            }
-            Some(factor)
-        }
-        None => None,
-    };
-    let mut planner = match (flags.contains_key("no-envelopes"), envelope_factor) {
-        (true, _) | (false, Some(0.0)) => PlannerConfig::containment_only(),
-        (false, Some(factor)) => PlannerConfig::with_span_factor(factor),
-        (false, None) => PlannerConfig::default(),
-    };
-    // Dense-graph heuristic: envelope synthesis turns off once the engine's
-    // observed tspG/graph vertex ratio exceeds the cutoff. `>= 1` keeps
-    // envelopes on regardless of density (the ratio never exceeds 1).
-    if let Some(v) = flags.get("envelope-density-cutoff") {
-        let cutoff: f64 = parse_number(v, "envelope density cutoff")?;
-        if !cutoff.is_finite() || cutoff < 0.0 {
-            return Err(format!("--envelope-density-cutoff must be a ratio >= 0, got {v}"));
-        }
-        planner = planner.with_density_cutoff(cutoff);
-    }
-    // Same-source profile sharing is on by default; `--no-profile-sharing`
-    // makes every plan unit run its own forward polarity pass.
-    if flags.contains_key("no-profile-sharing") {
-        planner = planner.without_profile_sharing();
-    }
-    // Dense-graph heuristic for profiles, mirroring the envelope cutoff:
-    // grouping turns off once the observed candidate-subgraph/graph vertex
-    // ratio exceeds the cutoff.
-    if let Some(v) = flags.get("profile-density-cutoff") {
-        let cutoff: f64 = parse_number(v, "profile density cutoff")?;
-        if !cutoff.is_finite() || cutoff < 0.0 {
-            return Err(format!("--profile-density-cutoff must be a ratio >= 0, got {v}"));
-        }
-        planner = planner.with_profile_density_cutoff(cutoff);
-    }
     // `--profile-cache-size 0` disables cross-batch profile residency
     // (groups still share one arrival profile within a batch).
     let profile_cache_entries: Option<usize> = match flags.get("profile-cache-size") {
@@ -407,7 +344,7 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         return Err(format!("{query_path} contains no queries"));
     }
 
-    let mut engine = QueryEngine::new(graph).with_planner(planner);
+    let mut engine = QueryEngine::new(graph);
     engine = match cache_entries {
         Some(0) => engine.without_cache(),
         Some(entries) => engine.with_cache(CacheConfig::with_max_entries(entries)),
@@ -895,28 +832,11 @@ mod tests {
         assert!(plan.contains("envelope_answered=2"), "{plan}");
         assert!(plan.contains("pipeline runs 1 for 2 queries"), "{plan}");
 
-        // --no-envelopes and --envelope-factor 0 fall back to containment.
-        for disable in [
-            &["batch", g, q, "--quiet", "--no-envelopes"][..],
-            &["batch", g, q, "--quiet", "--envelope-factor", "0"][..],
-        ] {
-            let out = dispatch(&args(disable)).unwrap();
-            let plan = out.lines().last().unwrap();
-            assert!(plan.contains("units=2"), "{plan}");
-            assert!(plan.contains("envelopes=0"), "{plan}");
-            assert!(plan.contains("pipeline runs 2 for 2 queries"), "{plan}");
-        }
-
-        // A factor too tight for the merge also keeps the windows apart:
-        // the envelope [2, 7] spans 6 > 1.2 × 4.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--envelope-factor", "1.2"])).unwrap();
-        assert!(out.lines().last().unwrap().contains("envelopes=0"), "{out}");
-
-        // Bad factors are rejected, including (0, 1) which the planner
-        // would otherwise silently clamp to 1.
-        for bad in ["lots", "-1", "inf", "0.5"] {
-            let err = dispatch(&args(&["batch", g, q, "--envelope-factor", bad])).unwrap_err();
-            assert!(err.contains("envelope"), "{err}");
+        // The planner's switches are not command-line flags: the retired
+        // envelope knobs are rejected by name, never silently ignored.
+        for retired in [&["--no-envelopes"][..], &["--envelope-factor", "2"][..]] {
+            let err = dispatch(&args(&[&["batch", g, q][..], retired].concat())).unwrap_err();
+            assert_eq!(err, format!("unknown flag {}", retired[0]));
         }
 
         std::fs::remove_file(query_path).ok();
@@ -945,12 +865,6 @@ mod tests {
         assert!(plan.contains("profile_cache_entries=1"), "{plan}");
         assert!(plan.contains("pipeline runs 3 for 3 queries"), "{plan}");
 
-        // --no-profile-sharing zeroes the overlay counters.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--no-profile-sharing"])).unwrap();
-        let plan = out.lines().last().unwrap();
-        assert!(plan.contains("profile_groups=0"), "{plan}");
-        assert!(plan.contains("profile_answered=0"), "{plan}");
-
         // --profile-cache-size 0 turns residency off; a positive size keeps
         // it on; a bad size is rejected.
         let out =
@@ -961,28 +875,8 @@ mod tests {
         assert!(out.lines().last().unwrap().contains("profile_cache_entries=1"), "{out}");
         let err = dispatch(&args(&["batch", g, q, "--profile-cache-size", "lots"])).unwrap_err();
         assert!(err.contains("profile cache size"), "{err}");
-
-        // The density cutoffs are validated.
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--envelope-density-cutoff", "0.5"]))
-            .unwrap();
-        assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
-        let out = dispatch(&args(&["batch", g, q, "--quiet", "--profile-density-cutoff", "0.5"]))
-            .unwrap();
-        assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
-        for bad in ["nope", "-0.5", "inf"] {
-            let err =
-                dispatch(&args(&["batch", g, q, "--envelope-density-cutoff", bad])).unwrap_err();
-            assert!(err.contains("density"), "{err}");
-            let err =
-                dispatch(&args(&["batch", g, q, "--profile-density-cutoff", bad])).unwrap_err();
-            assert!(err.contains("density"), "{err}");
-        }
-        // A zero cutoff vetoes grouping outright (any observed density
-        // exceeds it once the engine has a signal; the first batch primes
-        // it, the second plans without groups).
-        let out =
-            dispatch(&args(&["batch", g, q, "--quiet", "--profile-density-cutoff", "0"])).unwrap();
-        assert!(out.lines().last().unwrap().starts_with("plan:"), "{out}");
+        let err = dispatch(&args(&["batch", g, q, "--no-profile-sharing"])).unwrap_err();
+        assert_eq!(err, "unknown flag --no-profile-sharing");
 
         std::fs::remove_file(query_path).ok();
         std::fs::remove_file(graph_path).ok();

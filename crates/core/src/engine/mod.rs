@@ -632,8 +632,8 @@ impl QueryEngine {
         self
     }
 
-    /// Replaces the batch-planning policy (envelope synthesis on/off and
-    /// its cost-guard factor).
+    /// Replaces the batch-planning policy (envelope synthesis and profile
+    /// sharing on/off).
     pub fn with_planner(mut self, config: planner::PlannerConfig) -> Self {
         self.planner = config;
         self
@@ -647,7 +647,7 @@ impl QueryEngine {
     /// Average observed `tspG vertices / graph vertices` ratio over this
     /// engine's past full-graph pipeline runs, or `None` before the first
     /// run. Feeds the planner's dense-graph envelope heuristic (see
-    /// [`planner::PlannerConfig::envelope_density_cutoff`]).
+    /// [`planner::plan`]).
     pub fn observed_density(&self) -> Option<f64> {
         self.density.observed()
     }
@@ -688,7 +688,7 @@ impl QueryEngine {
     /// Average observed `candidate-H vertices / graph vertices` ratio over
     /// this engine's past profile-clamped runs, or `None` before the first
     /// one. Feeds the planner's dense-graph profile heuristic (see
-    /// [`planner::PlannerConfig::profile_density_cutoff`]).
+    /// [`planner::plan`]).
     pub fn observed_profile_density(&self) -> Option<f64> {
         self.profile_density.observed()
     }
@@ -1393,14 +1393,12 @@ mod tests {
             QuerySpec::new(0, 5, TimeInterval::new(1, 6)),
             QuerySpec::new(0, 5, TimeInterval::new(4, 9)),
         ];
-        let adaptive = QueryEngine::new(g.clone())
-            .without_cache()
-            .with_planner(planner::PlannerConfig::default().with_density_cutoff(0.5));
+        let adaptive = QueryEngine::new(g.clone()).without_cache();
         // Priming batch: record the density signal.
         let (_, cold) = adaptive.run_batch_with_stats(&overlap, 1);
         assert_eq!(cold.envelope_units, 1, "no signal yet: envelopes on");
         let observed = adaptive.observed_density().expect("primed");
-        assert!(observed > 0.5, "the miniature must be dense, observed {observed}");
+        assert!(observed > 0.8, "the miniature must read dense at the shipped cutoff: {observed}");
         let (_, warm) = adaptive.run_batch_with_stats(&overlap, 1);
         assert_eq!(warm.envelope_units, 0, "dense signal must disable synthesis");
         let containment = QueryEngine::new(g)
@@ -1422,14 +1420,12 @@ mod tests {
             QuerySpec::new(0, 6, TimeInterval::new(2, 9)),
             QuerySpec::new(0, 7, TimeInterval::new(1, 9)),
         ];
-        let engine = QueryEngine::new(g)
-            .without_cache()
-            .with_planner(planner::PlannerConfig::default().with_profile_density_cutoff(0.5));
+        let engine = QueryEngine::new(g).without_cache();
         assert_eq!(engine.observed_profile_density(), None, "fresh engines have no signal");
         let (_, cold) = engine.run_batch_with_stats(&fanout, 1);
         assert_eq!(cold.profile_groups, 1, "no signal yet: profile sharing on");
         let observed = engine.observed_profile_density().expect("profile runs recorded");
-        assert!(observed > 0.5, "the miniature must be dense, observed {observed}");
+        assert!(observed > 0.8, "the miniature must read dense at the shipped cutoff: {observed}");
         let (_, warm) = engine.run_batch_with_stats(&fanout, 1);
         assert_eq!(warm.profile_groups, 0, "dense signal must disable profile sharing");
         assert_eq!(warm.profile_answered, 0);

@@ -26,9 +26,8 @@
 //!    slightly wider window) replaces one per member.
 //!
 //!    A **cost guard** keeps envelopes from regressing latency: merging is
-//!    abandoned whenever the envelope's span would exceed
-//!    [`PlannerConfig::envelope_span_factor`] times the widest member's
-//!    span, so a pathological chain of barely-overlapping windows is split
+//!    abandoned whenever the envelope's span would exceed twice the widest
+//!    member's span, so a pathological chain of barely-overlapping windows is split
 //!    into several bounded envelopes instead of one graph-wide window.
 //!
 //! The planner never changes answers, only who computes them: the executor
@@ -40,65 +39,45 @@ use crate::engine::QuerySpec;
 use std::collections::HashMap;
 use tspg_graph::{TimeInterval, VertexId};
 
-/// Default envelope cost-guard factor: an envelope may span at most this
-/// many times the widest window it absorbs.
-pub const DEFAULT_ENVELOPE_SPAN_FACTOR: f64 = 2.0;
+/// Envelope cost guard `k`: an envelope's span may not exceed `k ×` the
+/// span of the widest window merged into it. The same factor guards
+/// same-source profile hulls: a unit joins a profile group only while the
+/// hull's span stays within `k ×` every member's own span.
+const ENVELOPE_SPAN_FACTOR: f64 = 2.0;
 
-/// Default dense-graph cutoff: envelope synthesis is disabled once the
-/// engine's observed average `tspG vertices / graph vertices` ratio
-/// exceeds this value (see [`PlannerConfig::envelope_density_cutoff`]).
-pub const DEFAULT_ENVELOPE_DENSITY_CUTOFF: f64 = 0.8;
+/// Dense-graph heuristic for envelopes: when the engine's observed average
+/// `tspG vertices / graph vertices` ratio exceeds this cutoff, envelope
+/// synthesis is disabled for the batch — on dense graphs a follower rerun
+/// over the envelope's tspG costs nearly as much as a full-graph run, so
+/// the synthesized envelope run is pure overhead. Containment sharing and
+/// dedup are unaffected (they never add runs).
+const ENVELOPE_DENSITY_CUTOFF: f64 = 0.8;
 
-/// Default dense-graph cutoff for profile sharing: grouping is disabled
-/// once the engine's observed average `clamp superset H vertices / graph
-/// vertices` ratio exceeds this value (see
-/// [`PlannerConfig::profile_density_cutoff`]).
-pub const DEFAULT_PROFILE_DENSITY_CUTOFF: f64 = 0.8;
+/// Dense-graph heuristic for profile sharing: when the engine's observed
+/// average `clamp superset H vertices / graph vertices` ratio exceeds this
+/// cutoff, profile grouping is disabled for the batch — on dense graphs
+/// the clamped candidate subgraph `H` is nearly the whole graph, so the
+/// profile pass plus the member reruns cost more than the plain per-unit
+/// pipeline.
+const PROFILE_DENSITY_CUTOFF: f64 = 0.8;
 
-/// Planner policy knobs (the CLI exposes them as `--envelope-factor`,
-/// `--no-envelopes`, `--envelope-density-cutoff` and
-/// `--no-profile-sharing`).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Planner policy: which sharing layers beyond dedup and containment are
+/// on. Both are on by default.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Synthesize envelope units for overlapping windows. When `false` the
-    /// planner shares work on exact containment only (the PR 3 behaviour).
+    /// planner shares work on exact containment only.
     pub envelopes: bool,
-    /// Cost guard `k ≥ 1`: an envelope's span may not exceed `k ×` the span
-    /// of the widest window merged into it. The same factor guards
-    /// same-source profile hulls: a unit joins a profile group only while
-    /// the hull's span stays within `k ×` every member's own span.
-    pub envelope_span_factor: f64,
-    /// Dense-graph heuristic (the ROADMAP item): when the engine's observed
-    /// average `tspG vertices / graph vertices` ratio exceeds this cutoff,
-    /// envelope synthesis is disabled for the batch — on dense graphs a
-    /// follower rerun over the envelope's tspG costs nearly as much as a
-    /// full-graph run, so the synthesized envelope run is pure overhead.
-    /// Containment sharing and dedup are unaffected (they never add runs).
-    pub envelope_density_cutoff: f64,
     /// Group same-source units (begins hulled under the span-factor guard)
     /// so the executor computes one target-agnostic arrival profile
     /// ([`crate::polarity::ArrivalProfile`]) per group instead of one
     /// forward pass per unit.
     pub profile_sharing: bool,
-    /// Dense-graph heuristic for profile sharing, mirroring
-    /// `envelope_density_cutoff`: when the engine's observed average
-    /// `clamp superset H vertices / graph vertices` ratio exceeds this
-    /// cutoff, profile grouping is disabled for the batch — on dense
-    /// graphs the clamped candidate subgraph `H` is nearly the whole
-    /// graph, so the profile pass plus the member reruns cost more than
-    /// the plain per-unit pipeline.
-    pub profile_density_cutoff: f64,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        Self {
-            envelopes: true,
-            envelope_span_factor: DEFAULT_ENVELOPE_SPAN_FACTOR,
-            envelope_density_cutoff: DEFAULT_ENVELOPE_DENSITY_CUTOFF,
-            profile_sharing: true,
-            profile_density_cutoff: DEFAULT_PROFILE_DENSITY_CUTOFF,
-        }
+        Self { envelopes: true, profile_sharing: true }
     }
 }
 
@@ -108,36 +87,10 @@ impl PlannerConfig {
         Self { envelopes: false, ..Self::default() }
     }
 
-    /// Envelope sharing with an explicit cost-guard factor, clamped to
-    /// `≥ 1`. At exactly 1 only containment can merge, so the planner
-    /// behaves like [`PlannerConfig::containment_only`]; non-finite input
-    /// (NaN, ±∞) clamps to 1 too — the conservative end, never surprise
-    /// merging from a degenerate computed ratio.
-    pub fn with_span_factor(factor: f64) -> Self {
-        let factor = if factor.is_finite() { factor.max(1.0) } else { 1.0 };
-        Self { envelope_span_factor: factor, ..Self::default() }
-    }
-
     /// Disables same-source profile sharing (every unit runs its own
-    /// forward polarity pass — the PR 4 behaviour).
+    /// forward polarity pass).
     pub fn without_profile_sharing(mut self) -> Self {
         self.profile_sharing = false;
-        self
-    }
-
-    /// Sets the dense-graph cutoff for envelope synthesis. The observed
-    /// ratio lies in `[0, 1]`, so a cutoff `≥ 1` keeps envelopes on
-    /// regardless of density; non-finite or negative input clamps to 0
-    /// (every observation counts as dense — the conservative end).
-    pub fn with_density_cutoff(mut self, cutoff: f64) -> Self {
-        self.envelope_density_cutoff = if cutoff.is_finite() { cutoff.max(0.0) } else { 0.0 };
-        self
-    }
-
-    /// Sets the dense-graph cutoff for profile sharing, with the same
-    /// clamping rules as [`PlannerConfig::with_density_cutoff`].
-    pub fn with_profile_density_cutoff(mut self, cutoff: f64) -> Self {
-        self.profile_density_cutoff = if cutoff.is_finite() { cutoff.max(0.0) } else { 0.0 };
         self
     }
 }
@@ -304,16 +257,14 @@ struct Member {
 ///
 /// `observed_density` is the engine's running average `tspG vertices /
 /// graph vertices` ratio (`None` before the first full-graph run); when it
-/// exceeds [`PlannerConfig::envelope_density_cutoff`] envelope synthesis is
-/// disabled for this batch — the dense-graph heuristic — while containment
+/// exceeds 0.8 envelope synthesis is disabled for this batch — the dense-graph heuristic — while containment
 /// sharing, dedup and profile grouping stay on (they never add pipeline
 /// runs).
 ///
 /// `observed_profile_density` is the analogous running average for shared
 /// runs: `clamp superset H vertices / graph vertices` (`None` before the
-/// first shared run); above
-/// [`PlannerConfig::profile_density_cutoff`] profile grouping is disabled
-/// for this batch — on dense graphs the clamped candidate subgraph is
+/// first shared run); above 0.8 profile grouping is disabled for this
+/// batch — on dense graphs the clamped candidate subgraph is
 /// nearly the whole graph, making the shared pass pure overhead.
 pub fn plan(
     pending: &[(usize, QuerySpec)],
@@ -353,9 +304,8 @@ pub fn plan(
     //    sweep: with begins ascending, a factor-1 hull may never exceed
     //    the widest member's span, which forces hull == cluster head —
     //    pure containment attachment, never a synthesized window.
-    let dense = observed_density.is_some_and(|ratio| ratio > config.envelope_density_cutoff);
-    let factor =
-        if config.envelopes && !dense { config.envelope_span_factor.max(1.0) } else { 1.0 };
+    let dense = observed_density.is_some_and(|ratio| ratio > ENVELOPE_DENSITY_CUTOFF);
+    let factor = if config.envelopes && !dense { ENVELOPE_SPAN_FACTOR } else { 1.0 };
     let mut plan =
         BatchPlan { planned_queries: pending.len(), dedup_answered, ..Default::default() };
     for slots in groups.values() {
@@ -376,14 +326,14 @@ pub fn plan(
     //    envelopes: a unit joins only while the hull's span stays within
     //    `factor ×` *every* member's own span, so a narrow window never
     //    pays for a profile computed over a vastly wider one. (The profile
-    //    guard always uses the configured factor — hull width is a
+    //    guard always uses the envelope factor — hull width is a
     //    per-member scan-cost concern — but the *profile* density signal
     //    gates grouping entirely on dense graphs, where the clamped
     //    candidate subgraph approaches the whole graph.)
     let profile_dense =
-        observed_profile_density.is_some_and(|ratio| ratio > config.profile_density_cutoff);
+        observed_profile_density.is_some_and(|ratio| ratio > PROFILE_DENSITY_CUTOFF);
     if config.profile_sharing && !profile_dense {
-        group_profiles(config.envelope_span_factor.max(1.0), &mut plan);
+        group_profiles(ENVELOPE_SPAN_FACTOR, &mut plan);
     }
     plan
 }
@@ -670,9 +620,8 @@ mod tests {
 
     #[test]
     fn adversarial_overlap_chain_respects_the_cost_guard() {
-        // [0,5], [3,8], [6,12]: the full envelope [0,12] spans 13 ≤ 2×7, so
-        // the default guard (k = 2) merges the whole chain into one
-        // synthesized unit.
+        // [0,5], [3,8], [6,12]: the envelope [0,12] spans 13 ≤ 2×7, so the
+        // guard (k = 2) merges the whole chain into one synthesized unit.
         let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 6, 12)];
         let merged = plan_default(&queries);
         assert_eq!(merged.num_units(), 1);
@@ -681,35 +630,17 @@ mod tests {
         assert_eq!(merged.units()[0].query, q(0, 1, 0, 12));
         assert_covers_batch(&merged, 3);
 
-        // A tighter guard splits the chain: [0,8] (span 9 ≤ 1.5×6) absorbs
-        // the first two, but growing to [0,12] (span 13 > 1.5×7) is vetoed,
-        // so [6,12] stays its own plain unit.
-        let tight = plan(&indexed(&queries), &PlannerConfig::with_span_factor(1.5), None, None);
-        assert_eq!(tight.num_units(), 2);
-        assert_eq!(tight.envelope_units(), 1);
-        assert_eq!(tight.envelope_answered(), 2);
-        assert_eq!(tight.units()[0].query, q(0, 1, 0, 8));
-        assert_eq!(tight.units()[1].query, q(0, 1, 6, 12));
-        assert!(!tight.units()[1].is_envelope());
-        assert_covers_batch(&tight, 3);
-    }
-
-    #[test]
-    fn span_factor_one_degenerates_to_containment_only() {
-        let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 1, 4)];
-        let strict = plan(&indexed(&queries), &PlannerConfig::with_span_factor(1.0), None, None);
-        let containment = plan_containment(&queries);
-        assert_eq!(strict.num_units(), containment.num_units());
-        assert_eq!(strict.envelope_units(), 0);
-        assert_eq!(strict.shared_answered(), containment.shared_answered());
-    }
-
-    #[test]
-    fn degenerate_span_factors_clamp_to_the_conservative_end() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -3.0] {
-            assert_eq!(PlannerConfig::with_span_factor(bad).envelope_span_factor, 1.0, "{bad}");
-        }
-        assert_eq!(PlannerConfig::with_span_factor(2.5).envelope_span_factor, 2.5);
+        // One more link splits the chain: growing to [0,16] (span 17 > 2×7)
+        // is vetoed, so [10,16] stays its own plain unit.
+        let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8), q(0, 1, 6, 12), q(0, 1, 10, 16)];
+        let split = plan_default(&queries);
+        assert_eq!(split.num_units(), 2);
+        assert_eq!(split.envelope_units(), 1);
+        assert_eq!(split.envelope_answered(), 3);
+        assert_eq!(split.units()[0].query, q(0, 1, 0, 12));
+        assert_eq!(split.units()[1].query, q(0, 1, 10, 16));
+        assert!(!split.units()[1].is_envelope());
+        assert_covers_batch(&split, 4);
     }
 
     #[test]
@@ -946,7 +877,7 @@ mod tests {
         let queries = [q(0, 1, 0, 5), q(0, 1, 3, 8)];
         let config = PlannerConfig::default();
         // Below the cutoff (or no observation): the overlap still merges.
-        for observed in [None, Some(0.5), Some(DEFAULT_ENVELOPE_DENSITY_CUTOFF)] {
+        for observed in [None, Some(0.5), Some(ENVELOPE_DENSITY_CUTOFF)] {
             let plan = super::plan(&indexed(&queries), &config, observed, None);
             assert_eq!(plan.envelope_units(), 1, "observed={observed:?}");
         }
@@ -954,17 +885,6 @@ mod tests {
         let plan = super::plan(&indexed(&queries), &config, Some(0.9), None);
         assert_eq!(plan.envelope_units(), 0);
         assert_eq!(plan.num_units(), 2);
-        // A cutoff >= 1 can never trip (the ratio is bounded by 1).
-        let relaxed = config.with_density_cutoff(1.0);
-        let plan = super::plan(&indexed(&queries), &relaxed, Some(1.0), None);
-        assert_eq!(plan.envelope_units(), 1);
-        // Degenerate cutoffs clamp to the conservative end (always dense).
-        for bad in [f64::NAN, f64::NEG_INFINITY, -2.0] {
-            assert_eq!(config.with_density_cutoff(bad).envelope_density_cutoff, 0.0, "{bad}");
-        }
-        let plan =
-            super::plan(&indexed(&queries), &config.with_density_cutoff(0.0), Some(0.01), None);
-        assert_eq!(plan.envelope_units(), 0);
     }
 
     #[test]
@@ -972,7 +892,7 @@ mod tests {
         let queries = [q(0, 1, 2, 7), q(0, 2, 3, 7)];
         let config = PlannerConfig::default();
         // Below the cutoff (or no observation): the fan-out still groups.
-        for observed in [None, Some(0.5), Some(DEFAULT_PROFILE_DENSITY_CUTOFF)] {
+        for observed in [None, Some(0.5), Some(PROFILE_DENSITY_CUTOFF)] {
             let plan = super::plan(&indexed(&queries), &config, None, observed);
             assert_eq!(plan.profile_groups().len(), 1, "observed={observed:?}");
         }
@@ -983,12 +903,5 @@ mod tests {
         // The envelope density signal does not gate profile grouping.
         let plan = super::plan(&indexed(&queries), &config, Some(0.9), None);
         assert_eq!(plan.profile_groups().len(), 1);
-        // Degenerate cutoffs clamp to the conservative end (always dense).
-        for bad in [f64::NAN, f64::NEG_INFINITY, -2.0] {
-            assert_eq!(config.with_profile_density_cutoff(bad).profile_density_cutoff, 0.0);
-        }
-        let strict = config.with_profile_density_cutoff(0.0);
-        let plan = super::plan(&indexed(&queries), &strict, None, Some(0.01));
-        assert!(plan.profile_groups().is_empty());
     }
 }

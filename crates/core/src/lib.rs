@@ -62,10 +62,7 @@ pub use eev::{
     escaped_edges_verification, escaped_edges_verification_with, EevOutcome, EevScratch, EevStats,
 };
 pub use engine::cache::{CacheConfig, CacheStats, ProfileCacheConfig, ProfileCacheStats};
-pub use engine::planner::{
-    BatchPlan, PlannerConfig, ProfileGroup, DEFAULT_ENVELOPE_DENSITY_CUTOFF,
-    DEFAULT_ENVELOPE_SPAN_FACTOR, DEFAULT_PROFILE_DENSITY_CUTOFF,
-};
+pub use engine::planner::{BatchPlan, PlannerConfig, ProfileGroup};
 pub use engine::{BatchStats, QueryEngine, QueryScratch, QuerySpec};
 pub use polarity::{
     compute_polarity, ArrivalProfile, PolarityScratch, PolarityTimes, SourceFrontier,

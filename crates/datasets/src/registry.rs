@@ -1,8 +1,8 @@
 //! The dataset registry: laptop-scale analogues of the paper's Table I.
 //!
 //! Each [`DatasetSpec`] records the full-size statistics of the corresponding
-//! real dataset (for documentation and for EXPERIMENTS.md) together with a
-//! generator model whose *shape* mimics it. A [`Scale`] divides the sizes
+//! real dataset (for documentation and for the `experiments` binary's Table
+//! I) together with a generator model whose *shape* mimics it. A [`Scale`] divides the sizes
 //! down to something that runs on a laptop; the default experiment scale is
 //! [`Scale::small`].
 
@@ -40,7 +40,7 @@ impl Scale {
     }
 
     /// Thousands to tens of thousands of edges; the default for the
-    /// experiment harness and the Criterion benchmarks.
+    /// experiment harness.
     pub fn small() -> Self {
         Self {
             size_divisor: 4_000.0,

@@ -1,7 +1,7 @@
 //! CLI for `tspg-lint`.
 //!
 //! ```text
-//! cargo run -p tspg-lint -- [--root PATH] [--rule NAME]... [--deny-all]
+//! cargo run -p tspg-lint -- [--root PATH] [--rule NAME]...
 //!                           [--format text|json] [--write-baseline]
 //!                           [--no-baseline] [--list-rules]
 //! ```
@@ -28,9 +28,6 @@ USAGE:
 OPTIONS:
     --root PATH        Lint root (default: current directory)
     --rule NAME        Run only this rule; repeatable (default: all rules)
-    --deny-all         Treat every rule as deny-level (all current rules
-                       already are; this pins the CI gate against future
-                       warn-level rules)
     --format FORMAT    Output format: `text` (default) or `json`
                        (machine-readable, schema tspg-lint-diagnostics/1)
     --write-baseline   Snapshot the current findings into
@@ -56,7 +53,6 @@ enum Format {
 struct Options {
     root: PathBuf,
     rule_filter: Vec<String>,
-    deny_all: bool,
     list_rules: bool,
     format: Format,
     write_baseline: bool,
@@ -67,7 +63,6 @@ fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         root: PathBuf::from("."),
         rule_filter: Vec::new(),
-        deny_all: false,
         list_rules: false,
         format: Format::Text,
         write_baseline: false,
@@ -98,7 +93,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--write-baseline" => opts.write_baseline = true,
             "--no-baseline" => opts.no_baseline = true,
-            "--deny-all" => opts.deny_all = true,
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -134,11 +128,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // Every registered rule is deny-level, so --deny-all changes nothing
-    // today; it exists so the CI invocation stays correct if a warn-level
-    // rule is ever added.
-    let _ = opts.deny_all;
 
     let baseline_path = opts.root.join(BASELINE_FILE);
 

@@ -159,8 +159,8 @@ proptest! {
     /// The envelope differential invariant: overlap chains, nested
     /// refinements and disjoint windows of a few endpoint pairs — the
     /// shapes envelope planning clusters, splits on the cost guard, and
-    /// leaves alone — under containment-only, default and near-unbounded
-    /// cost guards, across thread counts that spread jobs over workers.
+    /// leaves alone — under containment-only and default planning, across
+    /// thread counts that spread jobs over workers.
     #[test]
     fn envelope_planned_batches_match_the_sequential_path(
         ((graph, _), shapes) in (
@@ -183,14 +183,12 @@ proptest! {
             &[
                 EngineSetup::new("containment", PlannerConfig::containment_only()),
                 EngineSetup::new("default", PlannerConfig::default()),
-                EngineSetup::new("greedy", PlannerConfig::with_span_factor(8.0)),
             ],
         );
-        // A near-unbounded cost guard merges at least as aggressively as
-        // the default, which merges at least as much as containment-only
+        // The default planner merges at least as much as containment-only
         // (stats come back setup-major: two thread counts per setup).
         let per_setup: Vec<usize> = stats.chunks(2).map(|c| c[0].pipeline_runs()).collect();
-        prop_assert!(per_setup[2] <= per_setup[1] && per_setup[1] <= per_setup[0]);
+        prop_assert!(per_setup[1] <= per_setup[0]);
     }
 
     /// The profile differential invariant (this PR's tentpole): random
@@ -344,10 +342,11 @@ fn jittered_fanout_workloads_share_profiles_and_match_sequential() {
 /// than containment-only planning — while answers stay byte-identical.
 #[test]
 fn dense_registry_miniature_trips_the_envelope_density_heuristic() {
-    // The registry's tiny datasets are deliberately dense miniatures;
-    // wide windows make every tspG cover a large share of the graph.
+    // The registry's datasets are deliberately dense miniatures; at small
+    // scale D1 packs ~3,700 edges onto 24 vertices, so every tspG covers
+    // most of the graph and the shipped 0.8 cutoff trips.
     let spec = registry().into_iter().next().expect("registry has datasets");
-    let graph = spec.generate(Scale::tiny(), 0xfeed);
+    let graph = spec.generate(Scale::small(), 0xfeed);
     let base = generate_workload(&graph, 4, 12, 21).expect("workload");
     // Overlap chains on the sampled pairs: the shape envelope synthesis
     // would collapse if the density heuristic did not veto it.
@@ -364,18 +363,12 @@ fn dense_registry_miniature_trips_the_envelope_density_heuristic() {
         ));
     }
 
-    let cutoff = 0.5;
-    let adaptive = QueryEngine::new(graph.clone())
-        .without_cache()
-        .with_planner(PlannerConfig::default().with_density_cutoff(cutoff));
+    let adaptive = QueryEngine::new(graph.clone()).without_cache();
     // Priming batch: no density signal yet, envelopes may synthesize.
     let (_, cold) = adaptive.run_batch_with_stats(&queries, 2);
     assert!(cold.envelope_units >= 1, "the chains must envelope on a fresh engine: {cold:?}");
     let observed = adaptive.observed_density().expect("primed engine has a signal");
-    assert!(
-        observed > cutoff,
-        "the registry miniature must be dense (observed {observed:.2} <= {cutoff})"
-    );
+    assert!(observed > 0.8, "the registry miniature must be dense (observed {observed:.2} <= 0.8)");
 
     // Warm batch: the heuristic vetoes synthesis; run count must be no
     // worse than explicit containment-only planning on the same batch.
