@@ -27,8 +27,9 @@
 //!
 //!    A **cost guard** keeps envelopes from regressing latency: merging is
 //!    abandoned whenever the envelope's span would exceed twice the widest
-//!    member's span, so a pathological chain of barely-overlapping windows is split
-//!    into several bounded envelopes instead of one graph-wide window.
+//!    member's span, so a pathological chain of barely-overlapping windows
+//!    is split into several bounded envelopes instead of one graph-wide
+//!    window.
 //!
 //! The planner never changes answers, only who computes them: the executor
 //! runs one full-graph pipeline per unit and one tspG-sized pipeline per
@@ -257,15 +258,15 @@ struct Member {
 ///
 /// `observed_density` is the engine's running average `tspG vertices /
 /// graph vertices` ratio (`None` before the first full-graph run); when it
-/// exceeds 0.8 envelope synthesis is disabled for this batch — the dense-graph heuristic — while containment
-/// sharing, dedup and profile grouping stay on (they never add pipeline
-/// runs).
+/// exceeds 0.8 envelope synthesis is disabled for this batch — the
+/// dense-graph heuristic — while containment sharing, dedup and profile
+/// grouping stay on (they never add pipeline runs).
 ///
 /// `observed_profile_density` is the analogous running average for shared
 /// runs: `clamp superset H vertices / graph vertices` (`None` before the
 /// first shared run); above 0.8 profile grouping is disabled for this
-/// batch — on dense graphs the clamped candidate subgraph is
-/// nearly the whole graph, making the shared pass pure overhead.
+/// batch — on dense graphs the clamped candidate subgraph is nearly the
+/// whole graph, making the shared pass pure overhead.
 pub fn plan(
     pending: &[(usize, QuerySpec)],
     config: &PlannerConfig,
