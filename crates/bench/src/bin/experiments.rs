@@ -143,8 +143,8 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         "batch" => print(vec![exp9_batch_throughput(&cfg, threads)]),
         "ablation" => print(vec![ablation(&cfg, threads)]),
-        "exp13" | "server" => print(vec![exp13_server_latency(&cfg, threads)]),
-        "exp15" | "ingest" => print(vec![exp15_live_ingestion(&cfg, threads)]),
+        "exp13" => print(vec![exp13_server_latency(&cfg, threads)]),
+        "exp15" => print(vec![exp15_live_ingestion(&cfg, threads)]),
         "all" => {
             print(vec![table1_datasets(&cfg)]);
             print(vec![exp1_response_time(&cfg)]);

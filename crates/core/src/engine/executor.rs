@@ -20,7 +20,7 @@
 use crate::engine::planner::{BatchPlan, PlanUnit, ProfileGroup};
 use crate::engine::{generate_tspg_scratch, QueryEngine, QueryScratch, QuerySpec};
 use crate::polarity::ArrivalProfile;
-use crate::vug::{VugReport, VugResult};
+use crate::vug::{VugConfig, VugReport, VugResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tspg_graph::{EdgeSet, TemporalGraph, VertexId};
 
@@ -78,12 +78,7 @@ impl SharedTspg {
     /// Answers one follower of the unit by re-running the pipeline on the
     /// compact tspG with the follower's window, mapping the resulting edge
     /// set back to original vertex ids.
-    fn answer(
-        &self,
-        follower: &QuerySpec,
-        engine: &QueryEngine,
-        s: &mut QueryScratch,
-    ) -> VugResult {
+    fn answer(&self, follower: &QuerySpec, s: &mut QueryScratch) -> VugResult {
         match self {
             Self::Empty => VugResult { tspg: EdgeSet::new(), report: VugReport::default() },
             Self::Compact { graph, source, target, originals } => {
@@ -92,7 +87,7 @@ impl SharedTspg {
                     *source,
                     *target,
                     follower.window,
-                    engine.config(),
+                    &VugConfig::default(),
                     s,
                 );
                 result.tspg.uncompact(originals);
@@ -208,7 +203,7 @@ fn execute_unit(
     if !unit.followers.is_empty() {
         let shared = SharedTspg::new(&unit.query, &main.tspg);
         for follower in &unit.followers {
-            followers.push(shared.answer(&follower.query, engine, scratch));
+            followers.push(shared.answer(&follower.query, scratch));
         }
     }
     UnitOutcome { main, followers }

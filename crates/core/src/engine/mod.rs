@@ -33,7 +33,7 @@
 //!
 //! Planning, caching and parallelism never change answers — only who
 //! computes them. Every result is identical to a one-shot
-//! [`crate::generate_tspg_with`] call; the differential tests in
+//! [`crate::generate_tspg`] call; the differential tests in
 //! `tests/batch_engine.rs` hold the engine to that bit for bit.
 //!
 //! ```
@@ -479,13 +479,6 @@ impl BatchStats {
         self.executed_units + self.envelope_units
     }
 
-    /// Queries answered *without* a full-graph pipeline execution, net of
-    /// the synthesized envelope runs (the planner's saving is real only
-    /// after paying for the envelopes it invented).
-    pub fn saved_executions(&self) -> usize {
-        self.queries.saturating_sub(self.pipeline_runs())
-    }
-
     /// Snapshot of every counter as `(name, value)` pairs, in declaration
     /// order plus the derived `pipeline_runs` total — the one place the
     /// counter names are spelled out for `key=value` surfaces (the
@@ -575,7 +568,6 @@ impl DensityTracker {
 #[derive(Debug)]
 pub struct QueryEngine {
     graph: TemporalGraph,
-    config: VugConfig,
     /// Warm scratch arenas recovered from finished batch workers.
     scratch_pool: std::sync::Mutex<Vec<QueryScratch>>,
     /// Upper bound on retained scratches. Each warm scratch pins polarity
@@ -602,20 +594,13 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Creates an engine over `graph` with the default (published) VUG
-    /// configuration and a default-sized result cache.
+    /// Creates an engine over `graph` that runs the published VUG
+    /// configuration, with a default-sized result cache.
     pub fn new(graph: TemporalGraph) -> Self {
-        Self::with_config(graph, VugConfig::default())
-    }
-
-    /// Creates an engine with an explicit pipeline configuration and a
-    /// default-sized result cache.
-    pub fn with_config(graph: TemporalGraph, config: VugConfig) -> Self {
         let pool_cap =
             std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
         Self {
             graph,
-            config,
             scratch_pool: std::sync::Mutex::new(Vec::new()),
             pool_cap,
             cache: Some(ResultCache::new(CacheConfig::default())),
@@ -755,11 +740,6 @@ impl QueryEngine {
         epoch
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &VugConfig {
-        &self.config
-    }
-
     /// Answers one query out of the caller's scratch arena.
     ///
     /// This is the raw execution primitive: it always runs the pipeline,
@@ -771,7 +751,7 @@ impl QueryEngine {
             query.source,
             query.target,
             query.window,
-            &self.config,
+            &VugConfig::default(),
             scratch,
         )
     }
@@ -803,8 +783,13 @@ impl QueryEngine {
     ) -> VugResult {
         let mut frontier = std::mem::take(&mut scratch.frontier);
         profile.clamp_into(query.window, &mut frontier);
-        let result =
-            generate_tspg_frontier_scratch(&self.graph, query, &frontier, &self.config, scratch);
+        let result = generate_tspg_frontier_scratch(
+            &self.graph,
+            query,
+            &frontier,
+            &VugConfig::default(),
+            scratch,
+        );
         scratch.frontier = frontier;
         // Feed the profile-density heuristic with the clamp's superset
         // ratio: `scratch.candidate_originals` holds the candidate H's
@@ -849,7 +834,7 @@ impl QueryEngine {
     /// each query was answered.
     ///
     /// `results[i]` always answers `queries[i]`, and every tspG is
-    /// identical to what a one-shot [`crate::generate_tspg_with`] call
+    /// identical to what a one-shot [`crate::generate_tspg`] call
     /// would produce. The accompanying [`VugReport`] describes the work
     /// *actually performed* for that slot: duplicates carry a copy of their
     /// unit's report, cache hits carry the report recorded when the result
@@ -936,11 +921,6 @@ impl QueryEngine {
             report: VugReport { input_edges: self.graph.num_edges(), ..VugReport::default() },
         }
     }
-
-    /// Consumes the engine and returns the graph.
-    pub fn into_graph(self) -> TemporalGraph {
-        self.graph
-    }
 }
 
 /// Places one computed result into every batch slot that asked for it,
@@ -956,7 +936,7 @@ fn fan_out(results: &mut [Option<VugResult>], indexes: &[usize], result: VugResu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vug::{generate_tspg, generate_tspg_with};
+    use crate::vug::generate_tspg;
     use tspg_graph::fixtures::{figure1_graph, figure1_query};
     use tspg_graph::TemporalEdge;
 
@@ -986,14 +966,17 @@ mod tests {
 
     #[test]
     fn ablation_config_shares_gq_without_cloning() {
+        // On a scratch whose `G_t` still holds a full run's bound, skipping
+        // TightUBG must hand EEV `G_q` itself, not the stale `G_t`.
         let g = figure1_graph();
         let (s, t, w) = figure1_query();
-        let engine = QueryEngine::with_config(g.clone(), VugConfig::without_tight_ubg());
         let mut scratch = QueryScratch::new();
-        let got = engine.run(QuerySpec::new(s, t, w), &mut scratch);
-        let expected = generate_tspg_with(&g, s, t, w, &VugConfig::without_tight_ubg());
-        assert_eq!(got.tspg, expected.tspg);
-        assert_eq!(got.report.tight_edges, got.report.quick_edges);
+        let full = generate_tspg_scratch(&g, s, t, w, &VugConfig::default(), &mut scratch);
+        let ablated =
+            generate_tspg_scratch(&g, s, t, w, &VugConfig::without_tight_ubg(), &mut scratch);
+        assert_eq!(ablated.tspg, full.tspg);
+        assert!(full.report.tight_edges < full.report.quick_edges);
+        assert_eq!(ablated.report.tight_edges, ablated.report.quick_edges);
     }
 
     #[test]
@@ -1101,7 +1084,7 @@ mod tests {
         assert_eq!(stats.shared_answered, 1);
         assert_eq!(stats.degenerate, 1);
         assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.saved_executions(), 3);
+        assert_eq!(stats.queries - stats.pipeline_runs(), 3);
 
         // The same batch again is answered entirely from the cache (the
         // degenerate query stays inline).
@@ -1175,7 +1158,7 @@ mod tests {
         assert_eq!(stats.envelope_units, 1);
         assert_eq!(stats.envelope_answered, 3);
         assert_eq!(stats.pipeline_runs(), 1);
-        assert_eq!(stats.saved_executions(), 2);
+        assert_eq!(stats.queries - stats.pipeline_runs(), 2);
         for (q, r) in queries.iter().zip(results.iter()) {
             let expected = generate_tspg(&g, q.source, q.target, q.window);
             assert_eq!(r.tspg, expected.tspg, "query {q}");
@@ -1478,8 +1461,6 @@ mod tests {
         let results = engine.run_batch(&[QuerySpec::new(0, 2, TimeInterval::new(1, 5))], 4);
         assert!(results[0].tspg.is_empty());
         assert_eq!(engine.graph().num_vertices(), 3);
-        assert!(engine.config().use_tight_ubg);
-        assert_eq!(engine.into_graph().num_vertices(), 3);
     }
 
     #[test]

@@ -172,7 +172,6 @@ pub struct ProfileGroup {
 #[derive(Clone, Debug, Default)]
 pub struct BatchPlan {
     units: Vec<PlanUnit>,
-    planned_queries: usize,
     dedup_answered: usize,
     shared_answered: usize,
     envelope_answered: usize,
@@ -193,11 +192,6 @@ impl BatchPlan {
     /// (including synthesized envelope units).
     pub fn num_units(&self) -> usize {
         self.units.len()
-    }
-
-    /// Number of queries handed to the planner.
-    pub fn planned_queries(&self) -> usize {
-        self.planned_queries
     }
 
     /// Queries answered by copying another identical query's result
@@ -307,8 +301,7 @@ pub fn plan(
     //    pure containment attachment, never a synthesized window.
     let dense = observed_density.is_some_and(|ratio| ratio > ENVELOPE_DENSITY_CUTOFF);
     let factor = if config.envelopes && !dense { ENVELOPE_SPAN_FACTOR } else { 1.0 };
-    let mut plan =
-        BatchPlan { planned_queries: pending.len(), dedup_answered, ..Default::default() };
+    let mut plan = BatchPlan { dedup_answered, ..Default::default() };
     for slots in groups.values() {
         let mut ordered: Vec<usize> = slots.clone();
         ordered.sort_by_key(|&slot| {
@@ -757,7 +750,6 @@ mod tests {
     fn empty_input_yields_an_empty_plan() {
         let plan = plan_default(&[]);
         assert_eq!(plan.num_units(), 0);
-        assert_eq!(plan.planned_queries(), 0);
         assert_eq!(plan.dedup_answered(), 0);
         assert_eq!(plan.envelope_units(), 0);
         assert!(plan.profile_groups().is_empty());

@@ -48,59 +48,6 @@ impl Diagnostic {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal (RFC 8259: quote,
-/// backslash, and control characters below 0x20).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a machine-readable diagnostics document (the `--format json`
-/// output): schema tag, lint root, file count, how many findings the
-/// committed baseline absorbed, and the surviving findings themselves.
-pub fn render_json(
-    diagnostics: &[Diagnostic],
-    root: &str,
-    files_checked: usize,
-    baselined: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"tspg-lint-diagnostics/1\",\n");
-    out.push_str(&format!("  \"root\": \"{}\",\n", escape_json(root)));
-    out.push_str(&format!("  \"files_checked\": {files_checked},\n"));
-    out.push_str(&format!("  \"baselined\": {baselined},\n"));
-    out.push_str("  \"findings\": [");
-    for (i, d) in diagnostics.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"path\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \
-             \"message\": \"{}\"}}",
-            escape_json(&d.path),
-            d.line,
-            d.col,
-            d.rule,
-            escape_json(&d.message)
-        ));
-    }
-    if !diagnostics.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
 /// Parsed contents of a suppression pragma comment.
 ///
 /// Syntax: `// tspg-lint: allow(rule-a, rule-b)`. The pragma suppresses the
@@ -189,43 +136,6 @@ mod tests {
     fn pragma_inside_string_is_ignored() {
         let sup = collect_suppressions(&tokenize("let s = \"// tspg-lint: allow(hot-alloc)\";\n"));
         assert!(sup.is_empty());
-    }
-
-    #[test]
-    fn escape_json_covers_quotes_backslashes_and_controls() {
-        assert_eq!(escape_json("plain"), "plain");
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny\t\u{1}"), "x\\ny\\t\\u0001");
-    }
-
-    #[test]
-    fn render_json_is_parseable_and_complete() {
-        let d = Diagnostic {
-            path: "crates/server/src/lib.rs".into(),
-            line: 4,
-            col: 9,
-            rule: "lock-order",
-            message: "cycle `a -> b -> a`".into(),
-        };
-        let doc = render_json(&[d], ".", 58, 2);
-        let parsed = crate::baseline::Json::parse(&doc).expect("emitted JSON must parse");
-        let crate::baseline::Json::Object(fields) = parsed else { panic!() };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
-        assert_eq!(
-            get("schema"),
-            Some(crate::baseline::Json::Str("tspg-lint-diagnostics/1".into()))
-        );
-        assert_eq!(get("files_checked"), Some(crate::baseline::Json::Num(58.0)));
-        assert_eq!(get("baselined"), Some(crate::baseline::Json::Num(2.0)));
-        let Some(crate::baseline::Json::Array(findings)) = get("findings") else { panic!() };
-        assert_eq!(findings.len(), 1);
-    }
-
-    #[test]
-    fn render_json_with_no_findings_has_empty_array() {
-        let doc = render_json(&[], ".", 10, 0);
-        assert!(doc.contains("\"findings\": []"), "{doc}");
-        assert!(crate::baseline::Json::parse(&doc).is_ok());
     }
 
     #[test]

@@ -16,7 +16,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diagnostics;
 pub mod lockgraph;

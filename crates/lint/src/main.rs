@@ -1,22 +1,19 @@
 //! CLI for `tspg-lint`.
 //!
 //! ```text
-//! cargo run -p tspg-lint -- [--root PATH] [--rule NAME]...
-//!                           [--format text|json] [--write-baseline]
-//!                           [--no-baseline] [--list-rules]
+//! cargo run -p tspg-lint -- [--root PATH] [--rule NAME]... [--list-rules]
 //! ```
 //!
-//! Exits 0 when the tree is clean (or every finding is absorbed by the
-//! committed baseline), 1 when new deny-level findings survive, 2 on
-//! usage or I/O errors.
+//! Prints each surviving finding as `path:line:col: [rule] message` with
+//! its source excerpt. Exits 0 when the tree is clean, 1 when a finding
+//! survives its suppression pragmas, 2 on usage or I/O errors and when the
+//! root holds no Rust sources.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tspg_lint::baseline::Baseline;
-use tspg_lint::diagnostics::render_json;
 use tspg_lint::rules;
 
 const USAGE: &str = "\
@@ -28,46 +25,21 @@ USAGE:
 OPTIONS:
     --root PATH        Lint root (default: current directory)
     --rule NAME        Run only this rule; repeatable (default: all rules)
-    --format FORMAT    Output format: `text` (default) or `json`
-                       (machine-readable, schema tspg-lint-diagnostics/1)
-    --write-baseline   Snapshot the current findings into
-                       <root>/lint-baseline.json and exit 0
-    --no-baseline      Ignore <root>/lint-baseline.json even if present
     --list-rules       Print the rule catalogue and exit
     -h, --help         Print this help
 
-Findings can be suppressed with a `// tspg-lint: allow(<rule>, ...)`
-comment on the offending line or the line above it. Findings recorded in
-<root>/lint-baseline.json (matched on path + rule + message) are reported
-as baselined and do not fail the run.";
-
-/// Name of the committed baseline file, relative to the lint root.
-const BASELINE_FILE: &str = "lint-baseline.json";
-
-#[derive(PartialEq)]
-enum Format {
-    Text,
-    Json,
-}
+A finding is silenced only by a `// tspg-lint: allow(<rule>, ...)`
+comment on the offending line or the line above it, which should say
+why the exception holds.";
 
 struct Options {
     root: PathBuf,
     rule_filter: Vec<String>,
     list_rules: bool,
-    format: Format,
-    write_baseline: bool,
-    no_baseline: bool,
 }
 
 fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        rule_filter: Vec::new(),
-        list_rules: false,
-        format: Format::Text,
-        write_baseline: false,
-        no_baseline: false,
-    };
+    let mut opts = Options { root: PathBuf::from("."), rule_filter: Vec::new(), list_rules: false };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -83,16 +55,6 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.rule_filter.push(value);
             }
-            "--format" => {
-                let value = args.next().ok_or("--format requires `text` or `json`")?;
-                opts.format = match value.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-            }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -129,72 +91,25 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = opts.root.join(BASELINE_FILE);
-
-    if opts.write_baseline {
-        let baseline = Baseline::from_diagnostics(&report.diagnostics);
-        if let Err(err) = std::fs::write(&baseline_path, baseline.render()) {
-            eprintln!("tspg-lint: failed to write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "tspg-lint: wrote {} finding(s) to {}",
-            baseline.entries.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if !opts.no_baseline && baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Baseline::parse(&t))
-        {
-            Ok(baseline) => Some(baseline),
-            Err(err) => {
-                eprintln!("tspg-lint: invalid {}: {err}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-
-    let (baselined, fresh): (Vec<_>, Vec<_>) = report
-        .diagnostics
-        .iter()
-        .cloned()
-        .partition(|d| baseline.as_ref().is_some_and(|b| b.contains(d)));
-
+    // A mistyped or moved root walks no file; reporting that as clean
+    // would let the gate pass without checking anything.
     let files_checked = report.context.files.len();
-    if opts.format == Format::Json {
-        print!(
-            "{}",
-            render_json(&fresh, &opts.root.display().to_string(), files_checked, baselined.len())
-        );
-        return if fresh.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(1) };
+    if files_checked == 0 {
+        eprintln!("tspg-lint: no Rust sources under {}", opts.root.display());
+        return ExitCode::from(2);
     }
-
-    let baselined_note = if baselined.is_empty() {
-        String::new()
-    } else {
-        format!(", {} baselined finding(s) tolerated", baselined.len())
-    };
-    if fresh.is_empty() {
+    if report.diagnostics.is_empty() {
         println!(
-            "tspg-lint: clean ({} files checked under {}{baselined_note})",
+            "tspg-lint: clean ({} files checked under {})",
             files_checked,
             opts.root.display()
         );
         ExitCode::SUCCESS
     } else {
-        for diag in &fresh {
-            let source = report.context.file(&diag.path).map(|f| f.text.as_str()).unwrap_or("");
-            print!("{}", diag.render(source));
-        }
+        print!("{}", report.render());
         println!(
-            "tspg-lint: {} finding(s) in {} ({} files checked{baselined_note})",
-            fresh.len(),
+            "tspg-lint: {} finding(s) in {} ({} files checked)",
+            report.diagnostics.len(),
             opts.root.display(),
             files_checked
         );

@@ -105,7 +105,7 @@ pub struct ServerReport {
     pub responses: u64,
     /// Computed answers dropped because their client had disconnected.
     pub dropped: u64,
-    /// Query requests rejected with a quota error.
+    /// Requests (queries and ingests) rejected with a quota error.
     pub quota_rejections: u64,
     /// Request lines that failed to parse.
     pub malformed: u64,
@@ -381,22 +381,11 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The socket path the server is listening on.
-    pub fn socket_path(&self) -> &Path {
-        &self.shared.path
-    }
-
     /// Requests a graceful shutdown (equivalent to a client sending the
     /// `shutdown` verb): the admission queue is drained and answered, then
     /// every thread exits. Idempotent.
     pub fn shutdown(&self) {
         self.shared.begin_shutdown();
-    }
-
-    /// `true` once shutdown has been requested (verb or
-    /// [`ServerHandle::shutdown`]).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
     /// The `stats` verb's text, snapshotted without a protocol round trip
@@ -482,52 +471,18 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         match protocol::parse_request(line) {
             Ok(protocol::Request::Query { id, query }) => {
-                if slot.in_flight.load(Ordering::Acquire) >= shared.config.quota {
-                    shared.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
-                    slot.write_line(protocol::format_error(
-                        Some(id),
-                        &format!("quota exceeded ({} requests in flight)", shared.config.quota),
-                    ));
-                    continue;
-                }
-                slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                let pending = Pending::Query(PendingQuery {
-                    client: Arc::clone(slot),
-                    id,
-                    query,
-                    enqueued: Instant::now(),
+                admit(shared, slot, Some(id), |client, enqueued| {
+                    Pending::Query(PendingQuery { client, id, query, enqueued })
                 });
-                let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
-                queue.push_back(pending);
-                // Notify while still holding the admission lock (see
-                // `begin_shutdown`): dropping the guard first would let
-                // the dispatcher check its predicate and park between our
-                // push and this wakeup, losing the notification.
-                shared.admit_cv.notify_all();
             }
             Ok(protocol::Request::Ingest { edges }) => {
                 // Ingests ride the same FIFO queue and the same quota as
                 // queries: a pipelined mutation is "in flight" until its
                 // acknowledgement is written, and a greedy feeder must not
                 // starve the admission queue either.
-                if slot.in_flight.load(Ordering::Acquire) >= shared.config.quota {
-                    shared.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
-                    slot.write_line(protocol::format_error(
-                        None,
-                        &format!("quota exceeded ({} requests in flight)", shared.config.quota),
-                    ));
-                    continue;
-                }
-                slot.in_flight.fetch_add(1, Ordering::AcqRel);
-                let pending = Pending::Ingest(PendingIngest {
-                    client: Arc::clone(slot),
-                    edges,
-                    enqueued: Instant::now(),
+                admit(shared, slot, None, |client, enqueued| {
+                    Pending::Ingest(PendingIngest { client, edges, enqueued })
                 });
-                let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
-                queue.push_back(pending);
-                // Notify under the admission lock; see the Query arm.
-                shared.admit_cv.notify_all();
             }
             Ok(protocol::Request::Stats) => {
                 slot.write_line(shared.stats_text());
@@ -554,6 +509,34 @@ fn reader_loop(shared: &Arc<Shared>, slot: &Arc<ClientSlot>, stream: UnixStream)
         slot.gone.store(true, Ordering::Release);
         shared.counters.clients_gone.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Enqueues one request built by `pending` from its client and enqueue
+/// time, or answers a quota error tagged with `id` (a query's id; ingests
+/// carry none) when the client already has its quota in flight.
+fn admit(
+    shared: &Shared,
+    slot: &Arc<ClientSlot>,
+    id: Option<u64>,
+    pending: impl FnOnce(Arc<ClientSlot>, Instant) -> Pending,
+) {
+    if slot.in_flight.load(Ordering::Acquire) >= shared.config.quota {
+        // relaxed: serving counters are statistics only (see `stats_text`).
+        shared.counters.quota_rejections.fetch_add(1, Ordering::Relaxed);
+        slot.write_line(protocol::format_error(
+            id,
+            &format!("quota exceeded ({} requests in flight)", shared.config.quota),
+        ));
+        return;
+    }
+    slot.in_flight.fetch_add(1, Ordering::AcqRel);
+    let pending = pending(Arc::clone(slot), Instant::now());
+    let mut queue = shared.admission.lock().unwrap_or_else(PoisonError::into_inner);
+    queue.push_back(pending);
+    // Notify while still holding the admission lock (see `begin_shutdown`):
+    // dropping the guard first would let the dispatcher check its predicate
+    // and park between our push and this wakeup, losing the notification.
+    shared.admit_cv.notify_all();
 }
 
 /// One homogeneous run drained from the admission queue: either a query

@@ -87,8 +87,9 @@ fn a_lone_query_after_idling_is_answered_with_a_deep_admit_max() {
 }
 
 /// With `quota = 1` and an admission window far longer than the test, a
-/// second pipelined request deterministically exceeds the quota: it is
-/// answered with a tagged error line, while the admitted request is still
+/// second pipelined request deterministically exceeds the quota: a query
+/// is answered with an error line tagged with its id, an ingest with an
+/// untagged one and is never applied, while the admitted request is still
 /// answered on the shutdown drain.
 #[test]
 fn quota_exceeded_requests_get_a_tagged_error_line() {
@@ -107,22 +108,30 @@ fn quota_exceeded_requests_get_a_tagged_error_line() {
     let (mut reader, mut stream) = connect(&socket);
     send(&mut stream, &protocol::format_query(0, &q));
     send(&mut stream, &protocol::format_query(1, &q));
+    send(&mut stream, &protocol::format_ingest(&[TemporalEdge::new(s, t, 5)]));
     send(&mut stream, "shutdown");
 
-    // Deterministic reply order: the reader rejects request 1 inline and
-    // acknowledges the shutdown; the dispatcher then drains request 0.
-    let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
-    let protocol::Response::Error { id, message } = reply else { panic!("{reply:?}") };
-    assert_eq!(id, Some(1));
-    assert!(message.contains("quota"), "{message}");
+    // Deterministic reply order: the reader rejects request 1 and the
+    // ingest inline and acknowledges the shutdown; the dispatcher then
+    // drains request 0.
+    for want in [Some(1), None] {
+        let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
+        let protocol::Response::Error { id, message } = reply else { panic!("{reply:?}") };
+        assert_eq!(id, want);
+        assert!(message.contains("quota exceeded"), "{message}");
+    }
     assert_eq!(read_line(&mut reader), "bye");
     let reply = protocol::parse_response(&read_line(&mut reader)).unwrap();
     let protocol::Response::Result(payload) = reply else { panic!("{reply:?}") };
     assert_eq!(payload.id, 0);
     assert_eq!(payload.edges.len(), 4, "the admitted request is answered on the drain");
 
+    let stats = handle.stats_text();
+    assert_eq!(stat(&stats, "epoch"), 0, "the rejected ingest was applied: {stats}");
+    assert_eq!(stat(&stats, "ingest_batches"), 0, "{stats}");
+
     let report = handle.join();
-    assert_eq!(report.quota_rejections, 1);
+    assert_eq!(report.quota_rejections, 2);
     assert_eq!(report.responses, 1);
 }
 
